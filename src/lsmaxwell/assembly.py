@@ -3,12 +3,17 @@
 Supported families: scalar Lagrange ('p1', 'p2'), vector Lagrange
 ('vector_p1', 'vector_p2') and lowest-order edge elements ('ned0').
 Essential constraints are collected as dof sets and imposed by symmetric
-row/column elimination, never by penalty.
+row/column elimination, never by penalty.  On affine cells with
+piecewise-constant coefficients every form is assembled through reference
+tensors (Kirby & Logg, ACM TOMS 32(3), 2006): the quadrature is contracted
+once per form on the reference cell, and each cell adds one small
+contraction with its affine map.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -110,11 +115,6 @@ def _edge_structure(mesh):
     return edges, cell_edges, cell_signs
 
 
-def _edge_lookup(edges, nv):
-    keys = edges[:, 0].astype(np.int64) * nv + edges[:, 1]
-    return keys
-
-
 def _find_edges(keys, pairs, nv):
     want = np.sort(pairs, axis=1)
     k = want[:, 0].astype(np.int64) * nv + want[:, 1]
@@ -199,7 +199,7 @@ def _constrained_dofs(mesh, family, constraint, edges, nv):
     dim = mesh.dim
     dofs = set()
 
-    edge_keys = _edge_lookup(edges, nv) if edges is not None else None
+    edge_keys = edges[:, 0].astype(np.int64) * nv + edges[:, 1] if edges is not None else None
 
     if mode == "scalar_zero":
         if family not in ("p1", "p2"):
@@ -253,133 +253,84 @@ def _geometry(mesh, cells_slice):
     return J, detJ, JinvT
 
 
-class _Tab:
-    """Physical-space tabulation of one space on one cell chunk."""
-
-    def __init__(self, space, quad, cells_slice, J, detJ, JinvT):
-        mesh = space.mesh
-        dim = mesh.dim
-        pts = quad.cartesian
-        self.kind = space.kind
-        self.dofs = space.cell_dofs[cells_slice]
-        self.signs = space.cell_signs[cells_slice]
-        if space.kind == "scalar":
-            vals, grads = elements.eval_lagrange(space.degree, dim, pts)
-            self.val = np.broadcast_to(vals[None, :, :], (len(detJ),) + vals.shape)
-            self.grad = np.einsum("cij,qnj->cqni", JinvT, grads)
-        elif space.kind == "vector":
-            k = space.degree
-            vals, grads = elements.eval_lagrange(k, dim, pts)
-            nq, nl = vals.shape
-            vec = np.zeros((nq, nl * dim, dim))
-            for n in range(nl):
-                for c in range(dim):
-                    vec[:, n * dim + c, c] = vals[:, n]
-            self.val = np.broadcast_to(vec[None], (len(detJ),) + vec.shape)
-            gphys = np.einsum("cij,qnj->cqni", JinvT, grads)
-            if dim == 2:
-                rot = np.zeros((len(detJ), nq, nl * dim))
-                for n in range(nl):
-                    rot[:, :, n * dim + 0] = -gphys[:, :, n, 1]
-                    rot[:, :, n * dim + 1] = +gphys[:, :, n, 0]
-                self.rot = rot
-            else:
-                curl = np.zeros((len(detJ), nq, nl * dim, dim))
-                eye = np.eye(3)
-                for n in range(nl):
-                    for c in range(dim):
-                        curl[:, :, n * dim + c, :] = np.cross(gphys[:, :, n, :], eye[c])
-                self.rot = curl
-        else:  # edge
-            if dim == 2:
-                vals, rots = elements.eval_nedelec2d(pts)
-                self.val = np.einsum("cij,qnj->cqni", JinvT, vals) * self.signs[:, None, :, None]
-                self.rot = (rots[None, :, :] / detJ[:, None, None]) * self.signs[:, None, :]
-            else:
-                vals, curls = elements.eval_nedelec3d(pts)
-                self.val = np.einsum("cij,qnj->cqni", JinvT, vals) * self.signs[:, None, :, None]
-                cphys = np.einsum("cij,nj->cni", J, curls[0]) / detJ[:, None, None]
-                self.rot = cphys[:, None, :, :] * self.signs[:, None, :, None]
-                self.rot = np.broadcast_to(self.rot, self.val.shape)
+# Levi-Civita tensors: rot u = _EPS2[j, c] d_j u_c in 2D and
+# (curl u)_i = _EPS3[i, j, c] d_j u_c in 3D; _EPS2 @ grad p is also the
+# 2D vector curl (d_y p, -d_x p) of a scalar
+_EPS2 = np.array([[0.0, 1.0], [-1.0, 0.0]])
+_EPS3 = np.zeros((3, 3, 3))
+_EPS3[0, 1, 2] = _EPS3[1, 2, 0] = _EPS3[2, 0, 1] = 1.0
+_EPS3[0, 2, 1] = _EPS3[2, 1, 0] = _EPS3[1, 0, 2] = -1.0
 
 
-def _curl_of_scalar(tab):
-    """2D vector curl of a scalar basis: (d/dy, -d/dx)."""
-    g = tab.grad
-    out = np.empty_like(g)
-    out[..., 0] = g[..., 1]
-    out[..., 1] = -g[..., 0]
-    return out
+def _quantity(space, name, pts):
+    """Reference tabulation of one basis quantity and its per-cell map.
+
+    Returns ``(ref, cell_map)``: ``ref`` has shape (nq, nl, a) over the
+    nl nodal or edge functions of the reference cell, and
+    ``cell_map(J, detJ, JinvT)`` has shape (ncells, ncomp, d, a), where d
+    is the number of components per node (dim for vector families, else
+    1).  The physical quantity of dof n*d + x at point q of cell c is
+    ``cell_map[c, :, x] @ ref[q, n]`` (before edge signs).  ``name`` is
+    'val', 'grad' or 'curl' (rot in 2D, 2D vector curl for a scalar).
+    """
+    dim = space.mesh.dim
+    if space.kind == "edge":
+        vals, curls = (elements.eval_nedelec2d if dim == 2 else elements.eval_nedelec3d)(pts)
+        if name == "val":
+            return vals, lambda J, detJ, JinvT: JinvT[:, :, None, :]
+        if name == "curl" and dim == 2:
+            return curls[:, :, None], lambda J, detJ, JinvT: 1.0 / detJ[:, None, None, None]
+        if name == "curl":
+            return curls, lambda J, detJ, JinvT: (J / detJ[:, None, None])[:, :, None, :]
+    vals, grads = elements.eval_lagrange(space.degree, dim, pts)
+    if space.kind == "scalar":
+        if name == "val":
+            return vals[:, :, None], lambda J, detJ, JinvT: np.ones((len(detJ), 1, 1, 1))
+        if name == "grad":
+            return grads, lambda J, detJ, JinvT: JinvT[:, :, None, :]
+        if name == "curl" and dim == 2:
+            return grads, lambda J, detJ, JinvT: (_EPS2 @ JinvT)[:, :, None, :]
+    elif space.kind == "vector":
+        if name == "val":
+            eye = np.eye(dim)[:, :, None]
+            return vals[:, :, None], lambda J, detJ, JinvT: np.broadcast_to(
+                eye, (len(detJ),) + eye.shape)
+        if name == "curl":
+            eps = _EPS2[None] if dim == 2 else _EPS3
+            return grads, lambda J, detJ, JinvT: np.einsum("ijx,cja->cixa", eps, JinvT)
+    raise AssemblyError(f"no {name} of a {space.kind} space in {dim}D")
 
 
-def _pair(w, coef, detJ, T, U):
-    scale = coef * detJ
-    if T.ndim == 4:
-        return np.einsum("q,c,cqnd,cqmd->cnm", w, scale, T, U, optimize=True)
-    return np.einsum("q,c,cqn,cqm->cnm", w, scale, T, U, optimize=True)
+@dataclass(frozen=True)
+class _Form:
+    coef: Callable  # (CoefficientField, Mesh) -> per-cell values or a constant
+    test: str
+    trial: str
+    test_kinds: tuple
+    trial_kinds: tuple
 
 
-# which coefficient each form integrates against (None: plain Lebesgue)
-_FORM_COEFF = {
-    "mass_scalar": None, "stiffness_laplace": None,
-    "eps_mass": "eps", "mu_inv_rot_rot": "inv_mu",
-    "eps_inv_curl_curl": "inv_eps", "curl_to_vector": "neg",
-    "rot_pairing": None, "grad_pairing_3d": "mu",
+_VEC = ("vector", "edge")
+_ANY = ("scalar", "vector", "edge")
+
+# one row per bilinear form: coefficient, test and trial quantities and
+# the space kinds each side accepts
+_FORM_TABLE = {
+    "mass_scalar": _Form(lambda c, m: 1.0, "val", "val", ("scalar",), ("scalar",)),
+    "stiffness_laplace": _Form(lambda c, m: 1.0, "grad", "grad", ("scalar",), ("scalar",)),
+    "eps_mass": _Form(lambda c, m: c.eps_on(m), "val", "val", _VEC, _VEC),
+    "mu_inv_rot_rot": _Form(lambda c, m: 1.0 / c.mu_on(m), "curl", "curl", _VEC, _VEC),
+    "eps_inv_curl_curl": _Form(lambda c, m: 1.0 / c.eps_on(m), "curl", "curl", _ANY, _ANY),
+    "curl_to_vector": _Form(lambda c, m: -1.0, "curl", "val", _ANY, _VEC),
+    "rot_pairing": _Form(lambda c, m: 1.0, "curl", "val", _VEC, _ANY),
+    "grad_pairing_3d": _Form(lambda c, m: c.mu_on(m), "val", "grad", ("edge",), ("scalar",)),
 }
 
-
-def _coefficient_values(form, coeff, mesh):
-    need = _FORM_COEFF[form]
-    if need is None:
-        return np.ones(mesh.num_cells)
-    if need == "neg":
-        return -np.ones(mesh.num_cells)
-    if need == "eps":
-        return coeff.eps_on(mesh)
-    if need == "inv_eps":
-        return 1.0 / coeff.eps_on(mesh)
-    if need == "mu":
-        return coeff.mu_on(mesh)
-    return 1.0 / coeff.mu_on(mesh)
+# exact for every product of two bases of degree <= 2 on affine cells
+_QUAD_DEGREE = 4
 
 
-def _form_integrand(form, test_tab, trial_tab):
-    if form == "mass_scalar":
-        return test_tab.val, trial_tab.val
-    if form == "stiffness_laplace":
-        return test_tab.grad, trial_tab.grad
-    if form == "eps_mass":
-        return test_tab.val, trial_tab.val
-    if form == "mu_inv_rot_rot":
-        return test_tab.rot, trial_tab.rot
-    if form == "eps_inv_curl_curl":
-        if test_tab.kind == "scalar":
-            return test_tab.grad, trial_tab.grad
-        return test_tab.rot, trial_tab.rot
-    if form == "curl_to_vector":
-        if test_tab.kind == "scalar":
-            return _curl_of_scalar(test_tab), trial_tab.val
-        return test_tab.rot, trial_tab.val
-    if form == "rot_pairing":
-        return test_tab.rot, trial_tab.val
-    if form == "grad_pairing_3d":
-        return test_tab.val, trial_tab.grad
-    raise AssemblyError(f"unknown form {form!r}")
-
-
-_FORM_KINDS = {
-    "mass_scalar": ("scalar", "scalar"),
-    "stiffness_laplace": ("scalar", "scalar"),
-    "eps_mass": (("vector", "edge"), ("vector", "edge")),
-    "mu_inv_rot_rot": (("vector", "edge"), ("vector", "edge")),
-    "eps_inv_curl_curl": (("scalar", "edge", "vector"), ("scalar", "edge", "vector")),
-    "curl_to_vector": (("scalar", "edge", "vector"), ("vector", "edge")),
-    "rot_pairing": (("vector", "edge"), ("scalar", "edge", "vector")),
-    "grad_pairing_3d": ("edge", "scalar"),
-}
-
-
-def assemble(form, test_space, trial_space, coeff=None, quad_degree=4):
+def assemble(form, test_space, trial_space, coeff=None):
     """Assemble a global sparse matrix for one of the supported bilinear
     forms.
 
@@ -397,32 +348,43 @@ def assemble(form, test_space, trial_space, coeff=None, quad_degree=4):
     coeff = coeff or CoefficientField.unit()
     mesh = trial_space.mesh
     if form == "mu_mean_row":
-        return _assemble_mean_row(trial_space, coeff, quad_degree)
+        return _assemble_mean_row(trial_space, coeff)
     if test_space.mesh is not trial_space.mesh:
         raise AssemblyError("test and trial spaces live on different meshes")
-    want = _FORM_KINDS.get(form)
-    if want is None:
+    spec = _FORM_TABLE.get(form)
+    if spec is None:
         raise AssemblyError(f"unknown form {form!r}")
-    for got, req in ((test_space.kind, want[0]), (trial_space.kind, want[1])):
-        allowed = (req,) if isinstance(req, str) else req
+    for got, allowed in ((test_space.kind, spec.test_kinds),
+                         (trial_space.kind, spec.trial_kinds)):
         if got not in allowed:
             raise AssemblyError(f"form {form!r} incompatible with {got} space")
 
-    quad = elements.quadrature(mesh.dim, quad_degree)
-    coef_all = _coefficient_values(form, coeff, mesh)
-    w = quad.weights
+    # the quadrature is contracted once: R[a, b, n, m] = sum_q w_q T[q, n, a] U[q, m, b]
+    quad = elements.quadrature(mesh.dim, _QUAD_DEGREE)
+    ref_t, map_t = _quantity(test_space, spec.test, quad.cartesian)
+    ref_u, map_u = _quantity(trial_space, spec.trial, quad.cartesian)
+    R = np.ascontiguousarray(np.einsum("q,qna,qmb->abnm", quad.weights, ref_t, ref_u))
+    nt, nu = test_space.cell_dofs.shape[1], trial_space.cell_dofs.shape[1]
+    coef_all = np.broadcast_to(spec.coef(coeff, mesh), (mesh.num_cells,))
 
     rows, cols, data = [], [], []
     for start in range(0, mesh.num_cells, _CHUNK):
         sl = slice(start, min(start + _CHUNK, mesh.num_cells))
         J, detJ, JinvT = _geometry(mesh, sl)
-        tt = _Tab(test_space, quad, sl, J, detJ, JinvT)
-        tu = tt if trial_space is test_space else _Tab(trial_space, quad, sl, J, detJ, JinvT)
-        T, U = _form_integrand(form, tt, tu)
-        E = _pair(w, coef_all[sl], detJ, T, U)
-        nt, nu = E.shape[1], E.shape[2]
-        rows.append(np.repeat(tt.dofs, nu, axis=1).ravel())
-        cols.append(np.tile(tu.dofs, (1, nt)).ravel())
+        tmap, umap = map_t(J, detJ, JinvT), map_u(J, detJ, JinvT)
+        if tmap.shape[1] != umap.shape[1]:
+            raise AssemblyError(
+                f"form {form!r} pairs a {tmap.shape[1]}-component {test_space.kind} "
+                f"{spec.test} with a {umap.shape[1]}-component {trial_space.kind} {spec.trial}")
+        # cells on the last, contiguous axis keep einsum's inner loops long
+        G = np.einsum("c,cixa,ciyb->abxyc", coef_all[sl] * detJ, tmap, umap)
+        # einsum's loops rather than a BLAS product: on symmetric cells the
+        # terms that cancel come out as exact zeros instead of roundoff
+        # entries that widen the sparsity pattern
+        E = np.einsum("abxyc,abnm->cnxmy", np.ascontiguousarray(G), R).reshape(-1, nt, nu)
+        E *= test_space.cell_signs[sl][:, :, None] * trial_space.cell_signs[sl][:, None, :]
+        rows.append(np.repeat(test_space.cell_dofs[sl], nu, axis=1).ravel())
+        cols.append(np.tile(trial_space.cell_dofs[sl], (1, nt)).ravel())
         data.append(E.ravel())
     mat = sparse.coo_matrix(
         (np.concatenate(data), (np.concatenate(rows), np.concatenate(cols))),
@@ -432,20 +394,19 @@ def assemble(form, test_space, trial_space, coeff=None, quad_degree=4):
     return mat
 
 
-def _assemble_mean_row(space, coeff, quad_degree):
+def _assemble_mean_row(space, coeff):
     if space.kind != "scalar":
         raise AssemblyError("mu_mean_row requires a scalar space")
     mesh = space.mesh
-    quad = elements.quadrature(mesh.dim, quad_degree)
-    muc = coeff.mu_on(mesh)
-    w = quad.weights
+    quad = elements.quadrature(mesh.dim, _QUAD_DEGREE)
     vals, _ = elements.eval_lagrange(space.degree, mesh.dim, quad.cartesian)
+    ref = quad.weights @ vals
+    muc = coeff.mu_on(mesh)
     out = np.zeros(space.num_dofs)
     for start in range(0, mesh.num_cells, _CHUNK):
         sl = slice(start, min(start + _CHUNK, mesh.num_cells))
         _, detJ, _ = _geometry(mesh, sl)
-        contrib = np.einsum("q,c,qn->cn", w, muc[sl] * detJ, vals)
-        np.add.at(out, space.cell_dofs[sl], contrib)
+        np.add.at(out, space.cell_dofs[sl], (muc[sl] * detJ)[:, None] * ref)
     row = sparse.csr_matrix(out[None, :])
     row.eliminate_zeros()
     return row

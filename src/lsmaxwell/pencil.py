@@ -253,7 +253,9 @@ def filter_spectrum(pencil, lambdas, vectors, finite_cutoff=FINITE_CUTOFF,
         for lam0, z0, _ in deduped:
             if abs(lam - lam0) > 1e-8 * (1.0 + abs(lam)):
                 continue
-            cos = abs(np.dot(z, z0)) / (np.linalg.norm(z) * np.linalg.norm(z0))
+            # conjugated product: the two vectors of a conjugate pair span
+            # two real eigenvectors of a double eigenvalue
+            cos = abs(np.vdot(z0, z)) / (np.linalg.norm(z) * np.linalg.norm(z0))
             if cos > 1.0 - 1e-6:
                 dup = True
                 break

@@ -1,14 +1,16 @@
+import itertools
 import math
 
 import numpy as np
 import pytest
 import scipy.sparse as sparse
 
-from lsmaxwell.assembly import (AssemblyError, CoefficientField, assemble,
-                                build_space, discrete_gradient,
+from lsmaxwell import elements
+from lsmaxwell.assembly import (FORMS, AssemblyError, CoefficientField,
+                                assemble, build_space, discrete_gradient,
                                 eliminate_constraints, expand_vector,
                                 write_matrix_text)
-from lsmaxwell.mesh import (Mesh, boundary_facets_of, build_slit,
+from lsmaxwell.mesh import (Mesh, boundary_facets_of, build_lshape, build_slit,
                             build_structured_cube, build_structured_square,
                             perturb_interior, tag_subdomain)
 
@@ -162,6 +164,15 @@ class TestForms:
         assert row.shape == (1, P.num_dofs)
         assert abs(row.sum() - math.pi ** 2) < 1e-12
 
+    def test_scalar_curl_rejected_in_3d(self):
+        m = build_structured_cube(2)
+        P = build_space(m, "p1")
+        V = build_space(m, "vector_p1")
+        with pytest.raises(AssemblyError):
+            assemble("curl_to_vector", P, V)
+        with pytest.raises(AssemblyError):
+            assemble("rot_pairing", V, P)
+
     def test_incompatible_spaces(self):
         m = build_structured_square(2)
         V = build_space(m, "ned0")
@@ -182,6 +193,162 @@ class TestForms:
         assert np.array_equal(A1.indices, A2.indices)
         assert np.array_equal(A1.indptr, A2.indptr)
         assert np.array_equal(A1.data, A2.data)
+
+
+# ---- per-quadrature-point oracle -------------------------------------------
+#
+# Evaluates every basis quantity in physical space at each quadrature point
+# of each cell and sums w_q * coef * |det J| * T . U, cell by cell.
+
+FAMILIES = ("p1", "p2", "vector_p1", "vector_p2", "ned0")
+ORACLE_COEFF = CoefficientField(eps={0: 2.5, 1: 0.4}, mu={0: 0.7, 1: 3.0})
+_S = ("scalar",)
+_VE = ("vector", "edge")
+_ANY = ("scalar", "vector", "edge")
+# form -> (coefficient from (eps, mu), test quantity, trial quantity,
+#          test kinds, trial kinds)
+ORACLE_FORMS = {
+    "mass_scalar": (lambda e, m: 1.0, "val", "val", _S, _S),
+    "stiffness_laplace": (lambda e, m: 1.0, "grad", "grad", _S, _S),
+    "eps_mass": (lambda e, m: e, "val", "val", _VE, _VE),
+    "mu_inv_rot_rot": (lambda e, m: 1.0 / m, "curl", "curl", _VE, _VE),
+    "eps_inv_curl_curl": (lambda e, m: 1.0 / e, "curl", "curl", _ANY, _ANY),
+    "curl_to_vector": (lambda e, m: -1.0, "curl", "val", _ANY, _VE),
+    "rot_pairing": (lambda e, m: 1.0, "curl", "val", _VE, _ANY),
+    "grad_pairing_3d": (lambda e, m: m, "val", "grad", ("edge",), _S),
+}
+
+
+def _oracle_spaces():
+    cube = tag_subdomain(perturb_interior(build_structured_cube(2), 0.2, 5),
+                         ((0, 0, 0), (2.0, 2.0, 3.2)), 1)
+    lshape = tag_subdomain(build_lshape(2, diagonal="crisscross"), ((-1, -1), (0.1, 0.1)), 1)
+    return {name: {f: build_space(m, f) for f in FAMILIES}
+            for name, m in (("cube", cube), ("lshape", lshape))}
+
+
+ORACLE_SPACES = _oracle_spaces()
+
+
+def _jacobian(mesh, cell):
+    p = mesh.vertices[mesh.cells[cell]]
+    return (p[1:] - p[:1]).T
+
+
+def _physical(space, name, cell, pts):
+    """(nq, ndof, ncomp) physical values of one quantity on one cell, edge
+    signs included, or None when the quantity does not exist."""
+    dim = space.mesh.dim
+    J = _jacobian(space.mesh, cell)
+    detJ = np.linalg.det(J)
+    Jinv = np.linalg.inv(J)
+    if space.kind == "edge":
+        if dim == 2:
+            vals, rots = elements.eval_nedelec2d(pts)
+            curls = (rots / detJ)[:, :, None]
+        else:
+            vals, curls = elements.eval_nedelec3d(pts)
+            curls = curls @ J.T / detJ
+        out = {"val": vals @ Jinv, "curl": curls}
+    else:
+        vals, grads = elements.eval_lagrange(space.degree, dim, pts)
+        g = grads @ Jinv
+        if space.kind == "scalar":
+            out = {"val": vals[:, :, None], "grad": g}
+            if dim == 2:
+                out["curl"] = np.stack([g[..., 1], -g[..., 0]], axis=-1)
+        else:
+            nq, nl = vals.shape
+            val = np.zeros((nq, nl * dim, dim))
+            curl = np.zeros((nq, nl * dim, 1 if dim == 2 else 3))
+            for n in range(nl):
+                for c in range(dim):
+                    val[:, n * dim + c, c] = vals[:, n]
+                    if dim == 3:
+                        curl[:, n * dim + c, :] = np.cross(g[:, n, :], np.eye(3)[c])
+                    elif c == 0:
+                        curl[:, n * dim, 0] = -g[:, n, 1]
+                    else:
+                        curl[:, n * dim + 1, 0] = g[:, n, 0]
+            out = {"val": val, "curl": curl}
+    if name not in out:
+        return None
+    return out[name] * space.cell_signs[cell][None, :, None]
+
+
+def _defined(mesh_name, form, test_family, trial_family):
+    spaces = ORACLE_SPACES[mesh_name]
+    trial_space = spaces[trial_family]
+    if form == "mu_mean_row":
+        return trial_space.kind == "scalar"
+    test_space = spaces[test_family]
+    _, qt, qu, kt, ku = ORACLE_FORMS[form]
+    if test_space.kind not in kt or trial_space.kind not in ku:
+        return False
+    pts = elements.quadrature(trial_space.mesh.dim, 1).cartesian
+    T = _physical(test_space, qt, 0, pts)
+    U = _physical(trial_space, qu, 0, pts)
+    return T is not None and U is not None and T.shape[2] == U.shape[2]
+
+
+def oracle_assemble(form, test_space, trial_space, coeff):
+    """Dense matrix of one defined pairing, summed point by point."""
+    mesh = trial_space.mesh
+    quad = elements.quadrature(mesh.dim, 4)
+    eps, mu = coeff.eps_on(mesh), coeff.mu_on(mesh)
+    if form == "mu_mean_row":
+        coef, qt, qu = (lambda e, m: m), None, "val"
+    else:
+        coef, qt, qu = ORACLE_FORMS[form][:3]
+    out = np.zeros((test_space.num_dofs if test_space else 1, trial_space.num_dofs))
+    for c in range(mesh.num_cells):
+        vol = abs(np.linalg.det(_jacobian(mesh, c)))
+        U = _physical(trial_space, qu, c, quad.cartesian)
+        if test_space is None:
+            E = coef(eps[c], mu[c]) * vol * np.einsum("q,qm->m", quad.weights, U[:, :, 0])
+            np.add.at(out[0], trial_space.cell_dofs[c], E)
+            continue
+        T = _physical(test_space, qt, c, quad.cartesian)
+        E = coef(eps[c], mu[c]) * vol * np.einsum("q,qni,qmi->nm", quad.weights, T, U)
+        np.add.at(out, np.ix_(test_space.cell_dofs[c], trial_space.cell_dofs[c]), E)
+    return out
+
+
+def _pairings():
+    """Every (mesh, form, test family, trial family), test family None for
+    the mean row."""
+    for name, spaces in ORACLE_SPACES.items():
+        for form in FORMS:
+            if form == "mu_mean_row":
+                yield from ((name, form, None, fu) for fu in FAMILIES)
+            else:
+                yield from ((name, form, ft, fu)
+                            for ft, fu in itertools.product(FAMILIES, FAMILIES))
+
+
+ACCEPTED = [p for p in _pairings() if _defined(*p)]
+
+
+class TestOracle:
+    @pytest.mark.parametrize("mesh_name,form,test_family,trial_family", ACCEPTED,
+                             ids=["-".join(str(x) for x in p) for p in ACCEPTED])
+    def test_matches_quadrature_point_oracle(self, mesh_name, form, test_family,
+                                             trial_family):
+        spaces = ORACLE_SPACES[mesh_name]
+        test_space = spaces[test_family] if test_family else None
+        trial_space = spaces[trial_family]
+        got = assemble(form, test_space, trial_space, ORACLE_COEFF).toarray()
+        want = oracle_assemble(form, test_space, trial_space, ORACLE_COEFF)
+        assert got.shape == want.shape
+        assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+
+    def test_other_pairings_rejected(self):
+        rejected = [p for p in _pairings() if not _defined(*p)]
+        assert rejected
+        for name, form, ft, fu in rejected:
+            spaces = ORACLE_SPACES[name]
+            with pytest.raises(AssemblyError):
+                assemble(form, spaces[ft] if ft else None, spaces[fu], ORACLE_COEFF)
 
 
 class TestEliminate:

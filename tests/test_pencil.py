@@ -153,6 +153,24 @@ class TestFilter:
         assert sol.discarded[0][0] == "residual"
 
 
+    def test_conjugate_pair_of_double_eigenvalue_kept_twice(self):
+        # Arnoldi may return a double real eigenvalue as a conjugate pair
+        # a +- ib whose real and imaginary parts are the two eigenvectors
+        pen = toy_pencil(np.diag([2.0, 2.0, 5.0]), np.eye(3))
+        z = np.array([1.0, 2.0j, 0.0])
+        sol = filter_spectrum(pen, np.array([2.0 + 1e-16j, 2.0 - 1e-16j]),
+                              np.column_stack([z, z.conj()]))
+        assert list(sol.eigenvalues) == [2.0, 2.0]
+        assert sol.num_discarded == 0
+
+    def test_parallel_copy_discarded(self):
+        pen = toy_pencil(np.diag([2.0, 2.0, 5.0]), np.eye(3))
+        z = np.array([1.0, 2.0, 0.0])
+        sol = filter_spectrum(pen, np.array([2.0, 2.0]), np.column_stack([z, -3.0 * z]))
+        assert list(sol.eigenvalues) == [2.0]
+        assert sol.discarded == [("duplicate", 2.0)]
+
+
 class TestSchur:
     def test_matches_dense_qz(self):
         m = build_structured_square(2)
