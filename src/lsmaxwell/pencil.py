@@ -1,8 +1,10 @@
 """Degenerate generalized eigenvalue pencils K z = lambda M z with singular M.
 
-Sparse LU factorization, shift-invert Arnoldi with filtering of infinite and
-degenerate modes, a dense QZ oracle, and the symmetric Schur-complement
-reduction used for cross-validation.
+Sparse LU factorization; the production solver for least-squares block
+pencils, which eliminates the potential and solves the symmetric reduction
+A u = (lambda + 1) B^T C^{-1} B u; and the oracles it is checked against:
+shift-invert Arnoldi on (K, M) with filtering of infinite and degenerate
+modes, dense QZ, and the dense Schur-complement reduction.
 """
 
 from __future__ import annotations
@@ -20,6 +22,10 @@ RESIDUAL_TOL = 1e-8
 P_ZERO_TOL = 1e-10
 _DENSE_SOLVE_LIMIT = 60
 _REG_SCALE = 1e-12
+# Schur route: mu = 1/(1 + lambda) at or below this times the largest mu is
+# an infinite mode; blocks A up to this size are solved densely
+MU_INFINITE = 1e-10
+_DENSE_SCHUR_LIMIT = 250
 
 
 class PencilError(RuntimeError):
@@ -198,14 +204,34 @@ def factorize(K, pivot_floor=1e-13, probe=True, cond_limit=1e12):
     return handle
 
 
-def _as_real(vec, lam):
-    if np.iscomplexobj(vec):
-        im = np.linalg.norm(vec.imag)
-        re = np.linalg.norm(vec.real)
-        if im <= 1e-8 * max(re, 1e-300):
-            vec = np.ascontiguousarray(vec.real)
-    lam_r = lam.real if abs(lam.imag) <= 1e-8 * (1.0 + abs(lam.real)) else lam
-    return vec, lam_r
+def _parallel(z0, z):
+    return abs(np.vdot(z0, z)) > (1.0 - 1e-6) * np.linalg.norm(z0) * np.linalg.norm(z)
+
+
+def _real_candidates(lambdas, vectors):
+    """(lambda, z) candidates, real wherever the eigenvalue is real.
+
+    Arnoldi may return a double real eigenvalue as a conjugate pair a +- ib
+    with vectors z and conj(z); both span the same space as the real
+    eigenvectors Re z and Im z, which replace the pair.  A part below 1e-8
+    of the vector's norm is roundoff and is dropped.
+    """
+    cols = list(vectors.T)
+    out, partners = [], set()
+    for j, (lam, z) in enumerate(zip(lambdas, cols)):
+        if j in partners:
+            continue
+        if np.isfinite(lam) and abs(lam.imag) <= 1e-8 * (1.0 + abs(lam.real)):
+            lam = lam.real
+        if not np.iscomplexobj(z) or isinstance(lam, complex):
+            out.append((lam, z))
+            continue
+        partners.update(i for i in range(j + 1, len(cols))
+                        if _parallel(z.conj(), cols[i]))
+        nz = np.linalg.norm(z)
+        out += [(lam, np.ascontiguousarray(part)) for part in (z.real, z.imag)
+                if np.linalg.norm(part) > 1e-8 * nz]
+    return out
 
 
 def filter_spectrum(pencil, lambdas, vectors, finite_cutoff=FINITE_CUTOFF,
@@ -221,11 +247,10 @@ def filter_spectrum(pencil, lambdas, vectors, finite_cutoff=FINITE_CUTOFF,
     m_scale = np.abs(M.data).max() if M.nnz else 1.0
     kept = []
     discarded = []
-    for lam, z in zip(lambdas, vectors.T):
+    for lam, z in _real_candidates(lambdas, vectors):
         if not np.isfinite(lam):
             discarded.append(("infinite", lam))
             continue
-        z, lam = _as_real(z, lam)
         if isinstance(lam, complex):
             discarded.append(("complex", lam))
             continue
@@ -251,12 +276,7 @@ def filter_spectrum(pencil, lambdas, vectors, finite_cutoff=FINITE_CUTOFF,
     for lam, z, res in kept:
         dup = False
         for lam0, z0, _ in deduped:
-            if abs(lam - lam0) > 1e-8 * (1.0 + abs(lam)):
-                continue
-            # conjugated product: the two vectors of a conjugate pair span
-            # two real eigenvectors of a double eigenvalue
-            cos = abs(np.vdot(z0, z)) / (np.linalg.norm(z) * np.linalg.norm(z0))
-            if cos > 1.0 - 1e-6:
+            if abs(lam - lam0) <= 1e-8 * (1.0 + abs(lam)) and _parallel(z0, z):
                 dup = True
                 break
         if dup:
@@ -347,6 +367,105 @@ def shift_invert_eigs(pencil, sigma=0.0, nev=10, tol=RESIDUAL_TOL,
             f"only {len(sol.eigenvalues)} finite eigenpairs passed filtering "
             f"(requested {nev}); residuals: {sol.residuals}")
     sol.meta.update(sigma=sig, regularized=regularized, arnoldi_dim=k)
+    return sol
+
+
+def _refined_solver(C):
+    """Solve C x = b through the LU factor of C + rho I, rho = 1e-12 max|C|,
+    and one step of iterative refinement against C itself.
+
+    The relative shift keeps the factorization independent of scale and
+    makes a singular C factorable; for b in range(C), which holds for
+    every b = Bfull u since range(Bfull) is orthogonal to ker(Cfull), the
+    refinement removes the O(rho) error and the kernel component of x is
+    left arbitrary, which the pencil does not see.
+    """
+    rho = _REG_SCALE * float(np.abs(C.data).max() if C.nnz else 1.0)
+    handle = factorize(C + rho * sparse.identity(C.shape[0], format="csc"),
+                       probe=False)
+
+    def solve(b):
+        x = handle.solve(b)
+        return x + handle.solve(b - C @ x)
+    return solve, handle, rho
+
+
+def _lu_nnz(handle):
+    return int(handle._lu.L.nnz + handle._lu.U.nnz)
+
+
+def schur_eigs(pencil, nev=10, seed=0):
+    """Smallest finite eigenpairs of an LS block pencil through the
+    symmetric Schur reduction.
+
+    Eliminating the potential block gives R u = mu A u with the SPD block A,
+    R = Bfull^T Cfull^{-1} Bfull and mu = 1/(1 + lambda); the infinite
+    modes sit at mu = 0 (pairs with mu <= MU_INFINITE * max mu), so the
+    largest mu are the wanted pairs.  Small blocks are solved densely with
+    ``scipy.linalg.eigh(R, A)``, larger ones with Lanczos in the A inner
+    product (``eigsh`` with M = A), R applied as an operator.  The potential
+    is recovered as p = -Cfull^{-1} Bfull u; every pair still passes
+    :func:`filter_spectrum`'s residual gate on K and M, without the absolute
+    finite cutoff.
+
+    ``meta`` records ``path`` ('dense' or 'sparse'), the shift ``rho`` and
+    ``refinement_steps`` of the C solves, the block sizes ``size_A`` and
+    ``size_C``, the factor fill ``lu_nnz_A`` and ``lu_nnz_C`` (L + U; the
+    dense Cholesky triangle for A on the dense path), ``op_applies`` (R
+    applied to one vector; the columns of R on the dense path), and the
+    Lanczos ``lanczos_k`` and ``lanczos_ncv`` (k is the number of top pairs
+    taken on the dense path, where ncv is None).
+    """
+    try:
+        A, B, C = (pencil.blocks[k] for k in ("A", "Bfull", "Cfull"))
+    except KeyError:
+        raise PencilError("pencil carries no Schur blocks") from None
+    nU, nC = A.shape[0], C.shape[0]
+    if pencil.ranges["u"] != slice(0, nU) or pencil.size != nU + nC:
+        raise PencilError("Schur blocks do not match the pencil layout")
+    A, B, C = A.tocsc(), B.tocsr(), C.tocsc()
+    csolve, chandle, rho = _refined_solver(C)
+    k = min(nev + 2, nU)
+    meta = {"path": "dense" if nU <= max(_DENSE_SCHUR_LIMIT, k + 1) else "sparse",
+            "rho": rho, "refinement_steps": 1, "size_A": nU, "size_C": nC,
+            "lu_nnz_C": _lu_nnz(chandle), "lanczos_k": k, "lanczos_ncv": None}
+    if meta["path"] == "dense":
+        X = csolve(B.toarray())
+        R = B.T @ X
+        mu, U = scipy.linalg.eigh(0.5 * (R + R.T), A.toarray(),
+                                  subset_by_index=[nU - k, nU - 1])
+        Y = -(X @ U)
+        meta.update(lu_nnz_A=nU * (nU + 1) // 2, op_applies=nU)
+    else:
+        ahandle = factorize(A)
+        applies = [0]
+
+        def r_matvec(v):
+            applies[0] += 1
+            return B.T @ csolve(B @ v)
+        R = spla.LinearOperator((nU, nU), matvec=r_matvec, dtype=float)
+        Ainv = spla.LinearOperator((nU, nU), matvec=ahandle.solve, dtype=float)
+        ncv = min(nU, max(2 * k + 1, 20))
+        v0 = np.random.default_rng(seed).standard_normal(nU)
+        try:
+            mu, U = spla.eigsh(R, k=k, M=A, Minv=Ainv, which="LA", v0=v0,
+                               ncv=ncv, tol=1e-10)
+        except spla.ArpackNoConvergence as e:
+            raise PencilError(
+                f"Lanczos did not converge; {len(e.eigenvalues)} of {k} "
+                "Ritz pairs converged") from e
+        Y = -csolve(B @ U)
+        meta.update(lu_nnz_A=_lu_nnz(ahandle), op_applies=applies[0],
+                    lanczos_ncv=ncv)
+    finite = mu > MU_INFINITE * mu.max(initial=0.0)
+    lam = np.full(len(mu), np.inf)
+    lam[finite] = 1.0 / mu[finite] - 1.0
+    sol = filter_spectrum(pencil, lam, np.vstack([U, Y]), finite_cutoff=np.inf)
+    if len(sol.eigenvalues) < nev:
+        raise PencilError(
+            f"only {len(sol.eigenvalues)} finite eigenpairs passed filtering "
+            f"(requested {nev}); residuals: {sol.residuals}")
+    sol.meta.update(meta)
     return sol
 
 

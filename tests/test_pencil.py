@@ -2,8 +2,9 @@ import numpy as np
 import pytest
 import scipy.sparse as sparse
 
-from lsmaxwell.formulations import FormulationSpec, ls_maxwell_2d
-from lsmaxwell.mesh import build_structured_square
+from lsmaxwell.formulations import (FormulationSpec, ls_maxwell_2d,
+                                    ls_maxwell_3d_threefield)
+from lsmaxwell.mesh import build_structured_cube, build_structured_square
 from lsmaxwell.pencil import (BlockPencil, PencilError, SingularBlockError,
                               SingularMatrixError, coercivity_check, dense_qz,
                               discard_log, factorize, filter_spectrum,
@@ -80,6 +81,21 @@ class TestShiftInvert:
         pen = toy_pencil(np.diag([2.0, 3.0]), np.diag([1.0, 0.0]))
         with pytest.raises(PencilError):
             shift_invert_eigs(pen, nev=2)
+
+    def test_conjugate_pair_gives_real_vectors(self):
+        # at seed 0 Arnoldi returns the double eigenvalues of this cube as
+        # conjugate pairs with complex vectors
+        pen = ls_maxwell_3d_threefield(build_structured_cube(4), FormulationSpec(
+            kind="ls3d_threefield", elements_q="ned0"))
+        sol = shift_invert_eigs(pen, nev=5, seed=0)
+        assert all(v.dtype == np.float64 for v in sol.vectors.values())
+        assert np.allclose(sol.eigenvalues[:5],
+                           [2.5036, 2.5443, 2.5443, 4.0752, 4.0752], atol=5e-5)
+        Z = np.vstack([sol.vectors[k] for k in pen.ranges])
+        R = pen.K @ Z - (pen.M @ Z) * sol.eigenvalues
+        res = np.linalg.norm(R, axis=0) / ((np.abs(sol.eigenvalues) + 1)
+                                           * np.linalg.norm(Z, axis=0))
+        assert res.max() <= 1e-8
 
 
 class TestDenseQZ:
@@ -162,6 +178,14 @@ class TestFilter:
                               np.column_stack([z, z.conj()]))
         assert list(sol.eigenvalues) == [2.0, 2.0]
         assert sol.num_discarded == 0
+
+    def test_lone_complex_vector_split(self):
+        pen = toy_pencil(np.diag([2.0, 2.0, 5.0]), np.eye(3))
+        z = np.array([1.0, 2.0j, 0.0])
+        sol = filter_spectrum(pen, np.array([2.0 + 1e-16j]), z[:, None])
+        assert list(sol.eigenvalues) == [2.0, 2.0]
+        assert sol.vectors["p"].dtype == np.float64
+        assert np.allclose(sol.vectors["p"], [[1.0, 0.0], [0.0, 2.0], [0.0, 0.0]])
 
     def test_parallel_copy_discarded(self):
         pen = toy_pencil(np.diag([2.0, 2.0, 5.0]), np.eye(3))
