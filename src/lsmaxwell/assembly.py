@@ -14,6 +14,8 @@ from __future__ import annotations
 
 import math
 from collections.abc import Callable
+from contextlib import contextmanager
+from contextvars import ContextVar
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -21,7 +23,7 @@ import scipy.sparse as sparse
 
 from . import elements
 from .elements import REF_EDGES
-from .mesh import Mesh
+from .mesh import Mesh, _unique_rows
 
 _CHUNK = 16384
 _AXIS_TOL = 1e-9
@@ -102,12 +104,40 @@ class FESpace:
         return np.setdiff1d(np.arange(self.num_dofs), self.constrained)
 
 
+# (mesh, cache) of the pencil build in progress, see _per_build
+_BUILD = ContextVar("_BUILD", default=None)
+
+
+@contextmanager
+def _per_build(mesh):
+    """Share the per-mesh work of one pencil build among its build_space
+    and assemble calls: cell geometry, the edge structure, unconstrained
+    dof maps and CSR scatter patterns.  The cache is keyed by the mesh
+    object and dropped on exit, so a later build, or a ``replace``d copy
+    of the mesh, computes its own."""
+    token = _BUILD.set((mesh, {}))
+    try:
+        yield
+    finally:
+        _BUILD.reset(token)
+
+
+def _cached(mesh, key, make):
+    """``make()``, computed once per key while a build on ``mesh`` is open."""
+    build = _BUILD.get()
+    if build is None or build[0] is not mesh:
+        return make()
+    cache = build[1]
+    if key not in cache:
+        cache[key] = make()
+    return cache[key]
+
+
 def _edge_structure(mesh):
-    nl = mesh.cells.shape[1]
     loc = REF_EDGES[mesh.dim]
     pairs = np.concatenate(
         [np.sort(mesh.cells[:, [i, j]], axis=1) for (i, j) in loc], axis=0)
-    edges, inv = np.unique(pairs, axis=0, return_inverse=True)
+    edges, inv = _unique_rows(pairs, return_inverse=True)
     cell_edges = inv.reshape(len(loc), mesh.num_cells).T.copy()
     signs = np.concatenate(
         [np.where(mesh.cells[:, i] < mesh.cells[:, j], 1.0, -1.0) for (i, j) in loc])
@@ -115,31 +145,53 @@ def _edge_structure(mesh):
     return edges, cell_edges, cell_signs
 
 
-def _find_edges(keys, pairs, nv):
-    want = np.sort(pairs, axis=1)
+# vertex pairs of the edges of a boundary facet
+_FACET_EDGES = {2: [[0, 1]], 3: [[0, 1], [0, 2], [1, 2]]}
+
+
+def _facet_edges(edges, facets, nv):
+    """(nf, edges per facet) global ids of the edges of each facet."""
+    want = np.sort(facets[:, _FACET_EDGES[facets.shape[1]]], axis=2).reshape(-1, 2)
+    keys = edges[:, 0].astype(np.int64) * nv + edges[:, 1]
     k = want[:, 0].astype(np.int64) * nv + want[:, 1]
     idx = np.searchsorted(keys, k)
     if (idx >= len(keys)).any() or (keys[np.minimum(idx, len(keys) - 1)] != k).any():
         raise AssemblyError("facet edge not found in mesh edge set")
-    return idx
+    return idx.reshape(len(facets), -1)
 
 
-def _facet_axis(mesh, facet):
-    """Axis a facet is orthogonal to (its varying axes for the tangent)."""
-    pts = mesh.vertices[facet]
-    span = pts.max(axis=0) - pts.min(axis=0)
-    scale = max(span.max(), 1.0)
-    flat = span < _AXIS_TOL * scale
-    if mesh.dim == 2:
-        if flat[1] and not flat[0]:
-            return 1  # horizontal facet, normal along y
-        if flat[0] and not flat[1]:
-            return 0
+def _facet_axes(mesh, facets):
+    """Per facet, the axis it is orthogonal to (its varying axes span the
+    tangent plane)."""
+    pts = mesh.vertices[facets]
+    span = pts.max(axis=1) - pts.min(axis=1)
+    scale = np.maximum(span.max(axis=1), 1.0)
+    flat = span < _AXIS_TOL * scale[:, None]
+    if (flat.sum(axis=1) != 1).any():
         raise AssemblyError("tangential constraint supports axis-aligned facets only")
-    n_flat = np.flatnonzero(flat)
-    if len(n_flat) != 1:
-        raise AssemblyError("tangential constraint supports axis-aligned facets only")
-    return int(n_flat[0])
+    return flat.argmax(axis=1)
+
+
+def _dof_map(mesh, family):
+    """Unconstrained dof map of a family: (num_dofs, cell_dofs, cell_signs,
+    edges, cell_edges)."""
+    nv, dim = mesh.num_vertices, mesh.dim
+    if family in ("vector_p1", "vector_p2"):
+        num, scalar, _, edges, cell_edges = _cached(
+            mesh, ("dofs", family[-2:]), lambda: _dof_map(mesh, family[-2:]))
+        # dof n*dim + c of a cell is component c of its scalar dof n
+        cell_dofs = (dim * scalar[:, :, None] + np.arange(dim)).reshape(mesh.num_cells, -1)
+        return dim * num, cell_dofs, np.ones(cell_dofs.shape), edges, cell_edges
+    if family == "p1":
+        cells = np.ascontiguousarray(mesh.cells)
+        return nv, cells, np.ones(cells.shape), None, None
+    if family not in ("p2", "ned0"):
+        raise AssemblyError(f"unknown family {family!r}")
+    edges, cell_edges, edge_signs = _cached(mesh, "edges", lambda: _edge_structure(mesh))
+    if family == "ned0":
+        return len(edges), cell_edges, edge_signs, edges, cell_edges
+    cell_dofs = np.hstack([mesh.cells, nv + cell_edges])
+    return nv + len(edges), cell_dofs, np.ones(cell_dofs.shape), edges, cell_edges
 
 
 def build_space(mesh, family, constraint=None):
@@ -149,44 +201,14 @@ def build_space(mesh, family, constraint=None):
     or ('scalar_zero', tags) for scalar families; tags must exist on the
     mesh boundary.
     """
-    dim = mesh.dim
-    nv = mesh.num_vertices
-    edges = cell_edges = None
-    if family in ("p2", "vector_p2", "ned0"):
-        edges, cell_edges, edge_signs = _edge_structure(mesh)
-
-    if family == "ned0":
-        num_dofs = len(edges)
-        cell_dofs = cell_edges
-        cell_signs = edge_signs
-    elif family in ("p1", "p2"):
-        if family == "p1":
-            num_dofs = nv
-            cell_dofs = mesh.cells
-        else:
-            num_dofs = nv + len(edges)
-            cell_dofs = np.hstack([mesh.cells, nv + cell_edges])
-        cell_signs = np.ones_like(cell_dofs, dtype=float)
-    elif family in ("vector_p1", "vector_p2"):
-        base = "p" + family[-1]
-        scalar = build_space(mesh, base)
-        num_dofs = dim * scalar.num_dofs
-        nl = scalar.cell_dofs.shape[1]
-        cell_dofs = np.empty((mesh.num_cells, nl * dim), dtype=np.int64)
-        for n in range(nl):
-            for c in range(dim):
-                cell_dofs[:, n * dim + c] = dim * scalar.cell_dofs[:, n] + c
-        cell_signs = np.ones_like(cell_dofs, dtype=float)
-    else:
-        raise AssemblyError(f"unknown family {family!r}")
-
-    constrained = _constrained_dofs(mesh, family, constraint, edges, nv)
-    space = FESpace(mesh, family, int(num_dofs), np.ascontiguousarray(cell_dofs),
-                    cell_signs, constrained, constraint, edges, cell_edges)
-    return space
+    num_dofs, cell_dofs, cell_signs, edges, cell_edges = _cached(
+        mesh, ("dofs", family), lambda: _dof_map(mesh, family))
+    constrained = _constrained_dofs(mesh, family, constraint, edges)
+    return FESpace(mesh, family, int(num_dofs), cell_dofs, cell_signs,
+                   constrained, constraint, edges, cell_edges)
 
 
-def _constrained_dofs(mesh, family, constraint, edges, nv):
+def _constrained_dofs(mesh, family, constraint, edges):
     if constraint is None:
         return np.zeros(0, dtype=np.int64)
     mode, tags = constraint
@@ -196,61 +218,55 @@ def _constrained_dofs(mesh, family, constraint, edges, nv):
         if t not in present:
             raise AssemblyError(f"boundary tag {t!r} not present on mesh")
     facets = mesh.facets_with_tags(tags)
-    dim = mesh.dim
-    dofs = set()
-
-    edge_keys = edges[:, 0].astype(np.int64) * nv + edges[:, 1] if edges is not None else None
+    dim, nv = mesh.dim, mesh.num_vertices
 
     if mode == "scalar_zero":
         if family not in ("p1", "p2"):
             raise AssemblyError("scalar_zero requires a scalar family")
-        dofs.update(int(v) for v in np.unique(facets))
+        dofs = [facets.ravel()]
         if family == "p2":
-            if dim == 2:
-                eids = _find_edges(edge_keys, facets, nv)
-            else:
-                sub = np.vstack([facets[:, [0, 1]], facets[:, [0, 2]], facets[:, [1, 2]]])
-                eids = _find_edges(edge_keys, sub, nv)
-            dofs.update(int(nv + e) for e in np.unique(eids))
+            dofs.append(nv + _facet_edges(edges, facets, nv).ravel())
     elif mode == "tangential_zero":
         if family == "ned0":
-            if dim == 2:
-                eids = _find_edges(edge_keys, facets, nv)
-            else:
-                sub = np.vstack([facets[:, [0, 1]], facets[:, [0, 2]], facets[:, [1, 2]]])
-                eids = _find_edges(edge_keys, sub, nv)
-            dofs.update(int(e) for e in np.unique(eids))
+            dofs = [_facet_edges(edges, facets, nv).ravel()]
         elif family in ("vector_p1", "vector_p2"):
-            for facet in facets:
-                normal_axis = _facet_axis(mesh, facet)
-                comps = [c for c in range(dim) if c != normal_axis]
-                for v in facet:
-                    for c in comps:
-                        dofs.add(dim * int(v) + c)
-                if family == "vector_p2":
-                    if dim == 2:
-                        eids = _find_edges(edge_keys, facet[None, :], nv)
-                    else:
-                        sub = np.array([[facet[0], facet[1]], [facet[0], facet[2]],
-                                        [facet[1], facet[2]]])
-                        eids = _find_edges(edge_keys, sub, nv)
-                    for e in eids:
-                        for c in comps:
-                            dofs.add(dim * int(nv + e) + c)
+            # every component but the normal one, at each facet node
+            nodes = [facets]
+            if family == "vector_p2":
+                nodes.append(nv + _facet_edges(edges, facets, nv))
+            tangent = np.arange(dim) != _facet_axes(mesh, facets)[:, None]
+            dofs = [(dim * nd[:, :, None] + np.arange(dim))[
+                np.broadcast_to(tangent[:, None, :], nd.shape + (dim,))] for nd in nodes]
         else:
             raise AssemblyError("tangential_zero requires a vector or edge family")
     else:
         raise AssemblyError(f"unknown constraint mode {mode!r}")
-    return np.array(sorted(dofs), dtype=np.int64)
+    return np.unique(np.concatenate(dofs))
 
 
-def _geometry(mesh, cells_slice):
-    p = mesh.vertices[mesh.cells[cells_slice]]
+def _geometry(mesh):
+    """(J, detJ, JinvT) of the affine map of every cell."""
+    p = mesh.vertices[mesh.cells]
     J = np.swapaxes(p[:, 1:, :] - p[:, :1, :], 1, 2)  # (nc, dim, dim)
     detJ = np.linalg.det(J)
     Jinv = np.linalg.inv(J)
     JinvT = np.swapaxes(Jinv, 1, 2)
     return J, detJ, JinvT
+
+
+def _pattern(test_space, trial_space):
+    """CSR sparsity of every (test dof, trial dof) pair that shares a cell:
+    (indptr, indices, slot), where ``slot`` maps entry (c, n, m) of the cell
+    matrices, in C order, to its place in ``indices``."""
+    # one int64 key per entry; num_dofs**2 fits for any mesh that fits in memory
+    ncols = trial_space.num_dofs
+    keys = (test_space.cell_dofs[:, :, None].astype(np.int64) * ncols
+            + trial_space.cell_dofs[:, None, :]).ravel()
+    keys, slot = _unique_rows(keys[:, None], return_inverse=True)
+    keys = keys[:, 0]
+    indptr = np.zeros(test_space.num_dofs + 1, dtype=np.int32)
+    np.cumsum(np.bincount(keys // ncols, minlength=test_space.num_dofs), out=indptr[1:])
+    return indptr, (keys % ncols).astype(np.int32), slot.astype(np.int32)
 
 
 # Levi-Civita tensors: rot u = _EPS2[j, c] d_j u_c in 2D and
@@ -367,29 +383,41 @@ def assemble(form, test_space, trial_space, coeff=None):
     nt, nu = test_space.cell_dofs.shape[1], trial_space.cell_dofs.shape[1]
     coef_all = np.broadcast_to(spec.coef(coeff, mesh), (mesh.num_cells,))
 
-    rows, cols, data = [], [], []
+    J, detJ, JinvT = _cached(mesh, "geometry", lambda: _geometry(mesh))
+
+    def maps(sl):
+        return map_t(J[sl], detJ[sl], JinvT[sl]), map_u(J[sl], detJ[sl], JinvT[sl])
+
+    # component counts come from the maps of no cells, before any pattern work
+    tmap, umap = maps(slice(0, 0))
+    if tmap.shape[1] != umap.shape[1]:
+        raise AssemblyError(
+            f"form {form!r} pairs a {tmap.shape[1]}-component {test_space.kind} "
+            f"{spec.test} with a {umap.shape[1]}-component {trial_space.kind} {spec.trial}")
+    indptr, indices, slot = _cached(
+        mesh, ("pattern", test_space.family, trial_space.family),
+        lambda: _pattern(test_space, trial_space))
+    data = np.zeros(len(indices))
     for start in range(0, mesh.num_cells, _CHUNK):
         sl = slice(start, min(start + _CHUNK, mesh.num_cells))
-        J, detJ, JinvT = _geometry(mesh, sl)
-        tmap, umap = map_t(J, detJ, JinvT), map_u(J, detJ, JinvT)
-        if tmap.shape[1] != umap.shape[1]:
-            raise AssemblyError(
-                f"form {form!r} pairs a {tmap.shape[1]}-component {test_space.kind} "
-                f"{spec.test} with a {umap.shape[1]}-component {trial_space.kind} {spec.trial}")
+        tmap, umap = maps(sl)
         # cells on the last, contiguous axis keep einsum's inner loops long
-        G = np.einsum("c,cixa,ciyb->abxyc", coef_all[sl] * detJ, tmap, umap)
+        G = np.einsum("c,cixa,ciyb->abxyc", coef_all[sl] * detJ[sl], tmap, umap)
         # einsum's loops rather than a BLAS product: on symmetric cells the
         # terms that cancel come out as exact zeros instead of roundoff
         # entries that widen the sparsity pattern
         E = np.einsum("abxyc,abnm->cnxmy", np.ascontiguousarray(G), R).reshape(-1, nt, nu)
-        E *= test_space.cell_signs[sl][:, :, None] * trial_space.cell_signs[sl][:, None, :]
-        rows.append(np.repeat(test_space.cell_dofs[sl], nu, axis=1).ravel())
-        cols.append(np.tile(trial_space.cell_dofs[sl], (1, nt)).ravel())
-        data.append(E.ravel())
-    mat = sparse.coo_matrix(
-        (np.concatenate(data), (np.concatenate(rows), np.concatenate(cols))),
-        shape=(test_space.num_dofs, trial_space.num_dofs)).tocsr()
-    mat.sum_duplicates()
+        # orientation signs; those of nodal families are all +1
+        if test_space.kind == "edge":
+            E *= test_space.cell_signs[sl][:, :, None]
+        if trial_space.kind == "edge":
+            E *= trial_space.cell_signs[sl][:, None, :]
+        data += np.bincount(slot[sl.start * nt * nu:sl.stop * nt * nu], weights=E.ravel(),
+                            minlength=len(indices))
+    # the pattern is shared by the forms of a build; eliminate_zeros
+    # compacts indices and indptr in place, so the matrix owns copies
+    mat = sparse.csr_matrix((data, indices.copy(), indptr.copy()),
+                            shape=(test_space.num_dofs, trial_space.num_dofs))
     mat.eliminate_zeros()
     return mat
 
@@ -401,12 +429,9 @@ def _assemble_mean_row(space, coeff):
     quad = elements.quadrature(mesh.dim, _QUAD_DEGREE)
     vals, _ = elements.eval_lagrange(space.degree, mesh.dim, quad.cartesian)
     ref = quad.weights @ vals
-    muc = coeff.mu_on(mesh)
+    _, detJ, _ = _cached(mesh, "geometry", lambda: _geometry(mesh))
     out = np.zeros(space.num_dofs)
-    for start in range(0, mesh.num_cells, _CHUNK):
-        sl = slice(start, min(start + _CHUNK, mesh.num_cells))
-        _, detJ, _ = _geometry(mesh, sl)
-        np.add.at(out, space.cell_dofs[sl], (muc[sl] * detJ)[:, None] * ref)
+    np.add.at(out, space.cell_dofs, (coeff.mu_on(mesh) * detJ)[:, None] * ref)
     row = sparse.csr_matrix(out[None, :])
     row.eliminate_zeros()
     return row

@@ -24,9 +24,17 @@ from .pencil import PencilError, discard_log, spectrum_csv
 _VALIDATION = (StudyError, AssemblyError, MeshError, ElementError, ValueError)
 
 
+# every key the commands read; any other key is a typo and fails the run
+_CONFIG_KEYS = frozenset((
+    "formulation", "elements_v", "elements_q", "gauge", "bc", "domain",
+    "n_list", "n", "side", "reference", "nev", "diagonal", "perturb", "seed",
+    "eps_outside", "eps_inside", "mu_outside", "mu_inside"))
+
+
 def parse_config(path):
     """Flat key-value config: one 'key = value' (or 'key value') per line,
-    '#' starts a comment."""
+    '#' starts a comment.  A key outside ``_CONFIG_KEYS`` raises
+    :class:`StudyError`."""
     out = {}
     with open(path) as f:
         for raw in f:
@@ -37,7 +45,10 @@ def parse_config(path):
                 key, val = line.split("=", 1)
             else:
                 key, _, val = line.partition(" ")
-            out[key.strip()] = val.strip()
+            key = key.strip()
+            if key not in _CONFIG_KEYS:
+                raise StudyError(f"unknown config key {key!r} in {path}")
+            out[key] = val.strip()
     return out
 
 
@@ -92,8 +103,8 @@ def study_config_from(cfg, spec=None, spec_b=None, reference=None, nev=None):
 def cmd_mesh(args):
     builders = {
         "square": lambda: meshmod.build_structured_square(args.n, args.side, args.diagonal),
-        "lshape": lambda: meshmod.build_lshape(args.n),
-        "slit": lambda: meshmod.build_slit(args.n),
+        "lshape": lambda: meshmod.build_lshape(args.n, args.diagonal),
+        "slit": lambda: meshmod.build_slit(args.n, args.diagonal),
         "cube": lambda: meshmod.build_structured_cube(args.n, args.side),
     }
     m = builders[args.domain]()
@@ -156,7 +167,9 @@ def make_parser():
     pm.add_argument("domain", choices=("square", "lshape", "slit", "cube"))
     pm.add_argument("--n", type=int, required=True)
     pm.add_argument("--side", type=float, default=math.pi)
-    pm.add_argument("--diagonal", default="right")
+    pm.add_argument("--diagonal", default="right",
+                    choices=("right", "left", "crisscross"),
+                    help="quad split of square, lshape and slit meshes")
     pm.add_argument("--perturb", type=float, default=0.0)
     pm.add_argument("--seed", type=int, default=1)
     pm.add_argument("--out", required=True)

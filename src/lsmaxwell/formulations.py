@@ -16,8 +16,8 @@ import numpy as np
 import scipy.sparse as sparse
 
 from . import mesh as meshmod
-from .assembly import (AssemblyError, CoefficientField, assemble, build_space,
-                       discrete_gradient, eliminate_constraints)
+from .assembly import (AssemblyError, CoefficientField, _per_build, assemble,
+                       build_space, discrete_gradient, eliminate_constraints)
 from .pencil import BlockPencil, SymmetricPencil, validate_pencil
 
 KINDS = ("ls2d", "ls3d_threefield", "ls3d_twofield_nodal",
@@ -275,15 +275,19 @@ def curlcurl_edge(mesh, coeff=None):
 
 
 def build_pencil(mesh, spec):
-    """Dispatch a :class:`FormulationSpec` to its builder."""
-    if spec.kind == "ls2d":
-        return ls_maxwell_2d(mesh, spec)
-    if spec.kind == "ls3d_threefield":
-        return ls_maxwell_3d_threefield(mesh, spec)
-    if spec.kind == "ls3d_twofield_nodal":
-        return ls_maxwell_3d_twofield_nodal(mesh, spec)
-    if spec.kind == "galerkin_laplace":
-        return galerkin_laplace(mesh, spec.bc)
-    if spec.kind == "curlcurl_edge":
-        return curlcurl_edge(mesh, spec.coeff)
+    """Dispatch a :class:`FormulationSpec` to its builder.
+
+    The builder's spaces and forms share one set of per-mesh work (cell
+    geometry, edges, dof maps, sparsity patterns), dropped on return."""
+    with _per_build(mesh):
+        if spec.kind == "ls2d":
+            return ls_maxwell_2d(mesh, spec)
+        if spec.kind == "ls3d_threefield":
+            return ls_maxwell_3d_threefield(mesh, spec)
+        if spec.kind == "ls3d_twofield_nodal":
+            return ls_maxwell_3d_twofield_nodal(mesh, spec)
+        if spec.kind == "galerkin_laplace":
+            return galerkin_laplace(mesh, spec.bc)
+        if spec.kind == "curlcurl_edge":
+            return curlcurl_edge(mesh, spec.coeff)
     raise AssemblyError(f"unknown formulation kind {spec.kind!r}")

@@ -100,16 +100,31 @@ def signed_volumes(vertices, cells, dim):
     return np.linalg.det(e) / 6.0
 
 
+def _unique_rows(rows, return_inverse=False, return_counts=False):
+    """``np.unique(rows, axis=0)`` for an integer array, by one lexsort and
+    an adjacent-difference mask.  Rows are compared column by column, never
+    packed into one integer key, so no vertex count overflows."""
+    order = np.lexsort(rows.T[::-1])
+    srt = rows[order]
+    new = np.ones(len(srt), dtype=bool)
+    new[1:] = (srt[1:] != srt[:-1]).any(axis=1)
+    out = (srt[new],)
+    if return_inverse:
+        inv = np.empty(len(rows), dtype=np.intp)
+        inv[order] = np.cumsum(new) - 1
+        out += (inv,)
+    if return_counts:
+        out += (np.diff(np.append(np.flatnonzero(new), len(srt))),)
+    return out if len(out) > 1 else out[0]
+
+
 def unique_edges(cells):
     """All distinct vertex pairs appearing in a cell, as sorted rows in
     lexicographic order."""
     nl = cells.shape[1]
-    pairs = []
-    for i in range(nl):
-        for j in range(i + 1, nl):
-            pairs.append(np.sort(cells[:, [i, j]], axis=1))
-    allp = np.vstack(pairs)
-    return np.unique(allp, axis=0)
+    pairs = [np.sort(cells[:, [i, j]], axis=1)
+             for i in range(nl) for j in range(i + 1, nl)]
+    return _unique_rows(np.vstack(pairs))
 
 
 def _orient_positive(vertices, cells, dim):
@@ -133,7 +148,7 @@ def _facets_of_cells(cells, dim):
 def boundary_facets_of(cells, dim):
     """Facets adjacent to exactly one cell, lexicographically sorted."""
     facets = _facets_of_cells(cells, dim)
-    uniq, counts = np.unique(facets, axis=0, return_counts=True)
+    uniq, counts = _unique_rows(facets, return_counts=True)
     if counts.max() > 2:
         raise MeshError("non-manifold facet encountered")
     return uniq[counts == 1]
@@ -145,7 +160,7 @@ def validate(mesh):
     if not (vol > 0).all():
         raise MeshError("mesh has non-positively oriented cells")
     bd = boundary_facets_of(mesh.cells, mesh.dim)
-    got = np.unique(mesh.boundary_facets, axis=0)
+    got = _unique_rows(mesh.boundary_facets)
     if bd.shape != got.shape or not (bd == got).all():
         raise MeshError("boundary facet set does not match cell adjacency")
     for a, b in mesh.crack_pairs:
@@ -322,6 +337,11 @@ def build_slit(n, diagonal="right"):
 _KUHN_PERMS = [
     (0, 1, 2), (0, 2, 1), (1, 0, 2), (1, 2, 0), (2, 0, 1), (2, 1, 0),
 ]
+# (6, 4, 3) corner offsets of the Kuhn tetrahedra: each walks from corner
+# (0, 0, 0) to (1, 1, 1) one axis at a time, in the order of its permutation
+_KUHN_PATHS = np.concatenate(
+    [np.zeros((6, 1, 3), dtype=np.int64),
+     np.cumsum(np.eye(3, dtype=np.int64)[np.array(_KUHN_PERMS)], axis=1)], axis=1)
 
 
 def build_structured_cube(n, side=math.pi):
@@ -335,26 +355,13 @@ def build_structured_cube(n, side=math.pi):
     X, Y, Z = np.meshgrid(xs, xs, xs, indexing="ij")
     # index (ix, iy, iz) -> flat with iz fastest
     verts = np.column_stack([X.ravel(), Y.ravel(), Z.ravel()])
-    vid = lambda ix, iy, iz: (ix * (n + 1) + iy) * (n + 1) + iz
-
-    corner_paths = []
-    for perm in _KUHN_PERMS:
-        c = [0, 0, 0]
-        path = [tuple(c)]
-        for axis in perm:
-            c[axis] += 1
-            path.append(tuple(c))
-        corner_paths.append((path[0], path[1], path[2], path[3]))
-
-    cells = []
-    for ix in range(n):
-        for iy in range(n):
-            for iz in range(n):
-                for path in corner_paths:
-                    cells.append(tuple(
-                        vid(ix + o[0], iy + o[1], iz + o[2]) for o in path
-                    ))
-    cells = _orient_positive(verts, np.array(cells, dtype=np.int64), 3)
+    # subcubes (ix, iy, iz) with iz fastest, six tetrahedra each
+    r = np.arange(n)
+    sub = np.stack(np.meshgrid(r, r, r, indexing="ij"), axis=-1).reshape(-1, 1, 1, 3)
+    corner = sub + _KUHN_PATHS
+    cells = ((corner[..., 0] * (n + 1) + corner[..., 1]) * (n + 1)
+             + corner[..., 2]).reshape(-1, 4)
+    cells = _orient_positive(verts, cells, 3)
     bf = boundary_facets_of(cells, 3)
     tags = np.array([EXTERIOR] * len(bf), dtype=object)
     return validate(Mesh(3, verts, cells, bf, tags))
@@ -379,21 +386,21 @@ def perturb_interior(mesh, amplitude, seed):
     edges = unique_edges(mesh.cells)
     elen = np.sqrt(((verts[edges[:, 1]] - verts[edges[:, 0]]) ** 2).sum(axis=1))
     h_local = np.full(len(verts), np.inf)
-    for (a, b), l in zip(edges, elen):
-        h_local[a] = min(h_local[a], l)
-        h_local[b] = min(h_local[b], l)
+    np.minimum.at(h_local, edges[:, 0], elen)
+    np.minimum.at(h_local, edges[:, 1], elen)
 
-    incident = [[] for _ in range(len(verts))]
-    for c, cell in enumerate(mesh.cells):
-        for v in cell:
-            incident[v].append(c)
+    # cells incident to vertex v, ascending: incident[start[v]:start[v + 1]]
+    flat = mesh.cells.ravel()
+    order = np.argsort(flat, kind="stable")
+    incident = order // mesh.cells.shape[1]
+    start = np.searchsorted(flat[order], np.arange(len(verts) + 1))
 
     rng = np.random.default_rng(seed)
     for v in range(len(verts)):
         if v in fixed:
             continue
         old = verts[v].copy()
-        cells_v = mesh.cells[incident[v]]
+        cells_v = mesh.cells[incident[start[v]:start[v + 1]]]
         for _ in range(100):
             step = amplitude * h_local[v] * rng.uniform(-1.0, 1.0, size=mesh.dim)
             verts[v] = old + step
@@ -420,7 +427,10 @@ def tag_subdomain(mesh, region, tag):
 
 def write_mesh_text(mesh):
     """Plain-text export: header 'dim nv nc nf', vertex coordinates, cell
-    connectivity, then tagged boundary facets."""
+    connectivity, then tagged boundary facets.  Nonzero cell tags follow as
+    a 'cell_tags' line and one tag per cell, crack pairs as a
+    'crack_pairs k' line and k 'bottom top' rows; a mesh with neither ends
+    after its facets."""
     lines = [f"{mesh.dim} {mesh.num_vertices} {mesh.num_cells} {mesh.num_facets}"]
     for v in mesh.vertices:
         lines.append(" ".join(f"{x:.17g}" for x in v))
@@ -428,11 +438,17 @@ def write_mesh_text(mesh):
         lines.append(" ".join(str(int(i)) for i in c))
     for f, t in zip(mesh.boundary_facets, mesh.facet_tags):
         lines.append(" ".join(str(int(i)) for i in f) + f" {t}")
+    if mesh.cell_tags.any():
+        lines.append("cell_tags")
+        lines += [str(int(t)) for t in mesh.cell_tags]
+    if len(mesh.crack_pairs):
+        lines.append(f"crack_pairs {len(mesh.crack_pairs)}")
+        lines += [f"{int(a)} {int(b)}" for a, b in mesh.crack_pairs]
     return "\n".join(lines) + "\n"
 
 
 def read_mesh_text(text):
-    """Inverse of :func:`write_mesh_text` (crack pairs are not persisted)."""
+    """Inverse of :func:`write_mesh_text`."""
     rows = text.strip().splitlines()
     dim, nv, nc, nf = (int(t) for t in rows[0].split())
     verts = np.array([[float(t) for t in r.split()] for r in rows[1:1 + nv]])
@@ -443,5 +459,14 @@ def read_mesh_text(text):
         toks = r.split()
         facets.append([int(t) for t in toks[:dim]])
         tags.append(toks[dim])
+    rest = rows[1 + nv + nc + nf:]
+    cell_tags = crack_pairs = None
+    if rest and rest[0] == "cell_tags":
+        cell_tags = np.array([int(r) for r in rest[1:1 + nc]], dtype=np.int64)
+        rest = rest[1 + nc:]
+    if rest and rest[0].startswith("crack_pairs"):
+        k = int(rest[0].split()[1])
+        crack_pairs = np.array([[int(t) for t in r.split()] for r in rest[1:1 + k]],
+                               dtype=np.int64).reshape(k, 2)
     return Mesh(dim, verts, cells, np.array(facets, dtype=np.int64),
-                np.array(tags, dtype=object))
+                np.array(tags, dtype=object), cell_tags, crack_pairs)

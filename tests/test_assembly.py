@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import math
 
@@ -5,11 +6,12 @@ import numpy as np
 import pytest
 import scipy.sparse as sparse
 
-from lsmaxwell import elements
+from lsmaxwell import assembly, elements
 from lsmaxwell.assembly import (FORMS, AssemblyError, CoefficientField,
                                 assemble, build_space, discrete_gradient,
                                 eliminate_constraints, expand_vector,
                                 write_matrix_text)
+from lsmaxwell.formulations import FormulationSpec, build_pencil
 from lsmaxwell.mesh import (Mesh, boundary_facets_of, build_lshape, build_slit,
                             build_structured_cube, build_structured_square,
                             perturb_interior, tag_subdomain)
@@ -349,6 +351,94 @@ class TestOracle:
             spaces = ORACLE_SPACES[name]
             with pytest.raises(AssemblyError):
                 assemble(form, spaces[ft] if ft else None, spaces[fu], ORACLE_COEFF)
+
+
+def _same_matrix(a, b):
+    """Bitwise equal values on the same stored pattern."""
+    return (a.shape == b.shape and np.array_equal(a.indptr, b.indptr)
+            and np.array_equal(a.indices, b.indices) and np.array_equal(a.data, b.data))
+
+
+class TestBuildCache:
+    """Forms assembled inside one build share geometry, dof maps and CSR
+    patterns; each returned matrix must still own its pattern."""
+
+    TWO_FIELD = ("eps_mass", "mu_inv_rot_rot", "curl_to_vector",
+                 "eps_inv_curl_curl", "rot_pairing")
+
+    @staticmethod
+    def two_field_forms(mesh, order):
+        V = build_space(mesh, "vector_p1", ("tangential_zero", ("exterior",)))
+        Q = build_space(mesh, "vector_p1")
+        spaces = {"eps_mass": (V, V), "mu_inv_rot_rot": (V, V),
+                  "curl_to_vector": (Q, V), "eps_inv_curl_curl": (Q, Q),
+                  "rot_pairing": (V, Q)}
+        return {f: assemble(f, *spaces[f], ORACLE_COEFF) for f in order}
+
+    def test_two_field_call_order(self):
+        m = tag_subdomain(perturb_interior(build_structured_cube(3), 0.2, 3),
+                          ((0, 0, 0), (2.0, 2.0, 3.2)), 1)
+        alone = self.two_field_forms(m, self.TWO_FIELD)
+        with assembly._per_build(m):
+            forward = self.two_field_forms(m, self.TWO_FIELD)
+        with assembly._per_build(m):
+            backward = self.two_field_forms(m, self.TWO_FIELD[::-1])
+        # exact zeros inside the shared pattern are dropped per matrix, so
+        # a matrix that shared its pattern arrays would corrupt the next one
+        V = build_space(m, "vector_p1")
+        pattern_nnz = len(assembly._pattern(V, V)[1])
+        assert min(a.nnz for a in alone.values()) < pattern_nnz
+        for f in self.TWO_FIELD:
+            assert _same_matrix(forward[f], alone[f]), f
+            assert _same_matrix(backward[f], alone[f]), f
+
+    @pytest.mark.parametrize("mesh_name", sorted(ORACLE_SPACES))
+    def test_every_pairing_in_one_build(self, mesh_name):
+        spaces = ORACLE_SPACES[mesh_name]
+        mesh = spaces["p1"].mesh
+        pairings = [p[1:] for p in ACCEPTED if p[0] == mesh_name]
+
+        def run(order):
+            return [assemble(form, spaces[ft] if ft else None, spaces[fu],
+                             ORACLE_COEFF) for form, ft, fu in order]
+
+        alone = run(pairings)
+        for order in (pairings, pairings[::-1]):
+            with assembly._per_build(mesh):
+                got = run(order)
+            if order is not pairings:
+                got = got[::-1]
+            for p, a, b in zip(pairings, got, alone):
+                assert _same_matrix(a, b), p
+
+    def test_replaced_meshes_rebuild(self):
+        spec = FormulationSpec(kind="ls3d_twofield_nodal", elements_v="p1",
+                               elements_q="p1", gauge="none", coeff=ORACLE_COEFF)
+        box = ((0, 0, 0), (2.0, 2.0, 3.2))
+
+        def fresh():
+            return build_structured_cube(2)
+
+        m = fresh()
+        build_pencil(m, spec)
+        for derived, again in (
+                (perturb_interior(m, 0.2, 4), perturb_interior(fresh(), 0.2, 4)),
+                (tag_subdomain(m, box, 1), tag_subdomain(fresh(), box, 1))):
+            got, want = build_pencil(derived, spec), build_pencil(again, spec)
+            assert _same_matrix(got.K, want.K)
+            assert _same_matrix(got.M, want.M)
+
+    def test_nothing_left_after_build(self):
+        m = build_structured_square(3)
+        fields = {f.name for f in dataclasses.fields(m)}
+        build_pencil(m, FormulationSpec(elements_v="p2", elements_q="p2"))
+        assert set(vars(m)) == fields
+        assert assembly._BUILD.get() is None
+        # a build that fails half way drops its cache too
+        with pytest.raises(AssemblyError):
+            build_pencil(m, FormulationSpec(bc="mixed_slit"))
+        assert set(vars(m)) == fields
+        assert assembly._BUILD.get() is None
 
 
 class TestEliminate:

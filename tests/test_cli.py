@@ -1,5 +1,7 @@
 import numpy as np
+import pytest
 
+from lsmaxwell.bench import StudyError
 from lsmaxwell.cli import main, parse_config
 from lsmaxwell.mesh import read_mesh_text
 
@@ -38,6 +40,25 @@ class TestMeshCommand:
                        "--seed", "5", "--out", out])
             assert rc == 0
         assert open(a).read() == open(b).read()
+
+    @pytest.mark.parametrize("domain,right,crisscross", [("lshape", 24, 48),
+                                                          ("slit", 8, 16)])
+    def test_diagonal_reaches_singular_domains(self, tmp_path, domain, right,
+                                               crisscross):
+        n = "2" if domain == "lshape" else "1"
+        cells = {}
+        for diag in ("right", "crisscross"):
+            out = str(tmp_path / f"{diag}.txt")
+            assert main(["mesh", domain, "--n", n, "--diagonal", diag, "--out", out]) == 0
+            cells[diag] = read_mesh_text(open(out).read()).num_cells
+        assert cells == {"right": right, "crisscross": crisscross}
+
+    def test_unknown_diagonal(self, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["mesh", "lshape", "--n", "2", "--diagonal", "cross",
+                  "--out", str(tmp_path / "x")])
+        assert exc.value.code == 2
+        assert "cross" in capsys.readouterr().err
 
     def test_invalid_n(self, tmp_path):
         rc = main(["mesh", "square", "--n", "0", "--out", str(tmp_path / "x")])
@@ -127,3 +148,16 @@ class TestConfigParser:
                     "# comment\ndomain = slit\nn_list 4,8\nnev = 5\n")
         got = parse_config(cfg)
         assert got == {"domain": "slit", "n_list": "4,8", "nev": "5"}
+
+    def test_unknown_key(self, tmp_path):
+        cfg = write(tmp_path, "c.cfg", "domain = square\nn_list = 4\nevn = 5\n")
+        with pytest.raises(StudyError, match="'evn'"):
+            parse_config(cfg)
+
+    def test_unknown_key_exit_code(self, tmp_path, capsys):
+        cfg = write(tmp_path, "typo.cfg", BASE_CFG + "elements_w = p1\n")
+        rc = main(["solve", "--config", cfg, "--nev", "2",
+                   "--out", str(tmp_path / "s.csv")])
+        assert rc == 2
+        assert "'elements_w'" in capsys.readouterr().err
+        assert not (tmp_path / "s.csv").exists()

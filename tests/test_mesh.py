@@ -11,6 +11,19 @@ from lsmaxwell.mesh import (EXTERIOR, SLIT_BOTTOM, SLIT_TOP, MeshError,
                             unique_edges, validate, write_mesh_text)
 
 
+def fields_equal(a, b):
+    """Every field of two meshes, bit for bit."""
+    for name in ("vertices", "cells", "boundary_facets", "facet_tags",
+                 "cell_tags", "crack_pairs"):
+        x, y = getattr(a, name), getattr(b, name)
+        assert x.shape == y.shape, name
+        assert x.dtype == y.dtype, name
+        if x.dtype == object:
+            assert list(x) == list(y), name
+        else:
+            assert x.tobytes() == y.tobytes(), name
+
+
 def interior_facet_counts(mesh):
     facets = meshmod._facets_of_cells(mesh.cells, mesh.dim)
     _, counts = np.unique(facets, axis=0, return_counts=True)
@@ -158,6 +171,108 @@ class TestCube:
         assert set(counts.tolist()) <= {1, 2}
 
 
+def loop_cube_cells(n):
+    """Subcube by subcube (iz fastest), six Kuhn tetrahedra each, swapped
+    to positive orientation one cell at a time."""
+    verts = build_structured_cube(n).vertices
+    vid = lambda ix, iy, iz: (ix * (n + 1) + iy) * (n + 1) + iz
+    paths = []
+    for perm in ((0, 1, 2), (0, 2, 1), (1, 0, 2), (1, 2, 0), (2, 0, 1), (2, 1, 0)):
+        c = [0, 0, 0]
+        path = [tuple(c)]
+        for axis in perm:
+            c[axis] += 1
+            path.append(tuple(c))
+        paths.append(path)
+    cells = []
+    for ix in range(n):
+        for iy in range(n):
+            for iz in range(n):
+                for path in paths:
+                    cell = [vid(ix + o[0], iy + o[1], iz + o[2]) for o in path]
+                    p = verts[cell]
+                    if np.linalg.det(p[1:] - p[0]) < 0:
+                        cell[2], cell[3] = cell[3], cell[2]
+                    cells.append(cell)
+    return np.array(cells, dtype=np.int64)
+
+
+def loop_boundary_facets(cells):
+    facets = np.sort(np.concatenate(
+        [np.delete(cells, i, axis=1) for i in range(cells.shape[1])]), axis=1)
+    uniq, counts = np.unique(facets, axis=0, return_counts=True)
+    return uniq[counts == 1]
+
+
+class TestArrayConstruction:
+    """The array-based constructions against loop references."""
+
+    def test_cube_matches_loop(self):
+        for n in range(1, 6):
+            m = build_structured_cube(n)
+            ref = loop_cube_cells(n)
+            assert m.cells.dtype == ref.dtype
+            assert np.array_equal(m.cells, ref)
+            assert np.array_equal(m.boundary_facets, loop_boundary_facets(ref))
+
+    def test_unique_rows_matches_numpy(self):
+        rng = np.random.default_rng(0)
+        # entries beyond 2**21 would overflow three columns packed in int64
+        for hi, shape in ((4, (200, 2)), (6, (300, 3)), (2**40, (50, 3)), (3, (0, 2))):
+            a = rng.integers(0, hi, size=shape)
+            a = np.vstack([a, a[: len(a) // 3]])
+            u, inv, counts = meshmod._unique_rows(a, return_inverse=True,
+                                                  return_counts=True)
+            ru, rinv, rcounts = np.unique(a, axis=0, return_inverse=True,
+                                          return_counts=True)
+            assert np.array_equal(u, ru)
+            assert np.array_equal(inv, rinv.ravel())
+            assert np.array_equal(counts, rcounts)
+            assert np.array_equal(u[inv], a)
+
+    @staticmethod
+    def loop_perturb(mesh, amplitude, seed):
+        """Interior vertices moved one at a time, with per-edge and per-cell
+        Python loops for the local edge length and the incidence."""
+        verts = mesh.vertices.copy()
+        fixed = set(int(v) for v in np.unique(mesh.boundary_facets))
+        fixed |= set(int(v) for v in mesh.crack_pairs.ravel())
+        nl = mesh.cells.shape[1]
+        pairs = np.vstack([np.sort(mesh.cells[:, [i, j]], axis=1)
+                           for i in range(nl) for j in range(i + 1, nl)])
+        edges = np.unique(pairs, axis=0)
+        elen = np.sqrt(((verts[edges[:, 1]] - verts[edges[:, 0]]) ** 2).sum(axis=1))
+        h_local = np.full(len(verts), np.inf)
+        for (a, b), length in zip(edges, elen):
+            h_local[a] = min(h_local[a], length)
+            h_local[b] = min(h_local[b], length)
+        incident = [[] for _ in range(len(verts))]
+        for c, cell in enumerate(mesh.cells):
+            for v in cell:
+                incident[v].append(c)
+        rng = np.random.default_rng(seed)
+        for v in range(len(verts)):
+            if v in fixed:
+                continue
+            old = verts[v].copy()
+            cells_v = mesh.cells[incident[v]]
+            for _ in range(100):
+                verts[v] = old + amplitude * h_local[v] * rng.uniform(-1.0, 1.0, size=mesh.dim)
+                if (meshmod.signed_volumes(verts, cells_v, mesh.dim) > 0).all():
+                    break
+            else:
+                raise AssertionError(f"reference loop stuck at vertex {v}")
+        return verts
+
+    def test_perturb_matches_loop(self):
+        for m, seed in ((build_structured_cube(4), 3), (build_structured_square(8), 1),
+                        (build_slit(2, "crisscross"), 2)):
+            got = perturb_interior(m, 0.2, seed)
+            ref = self.loop_perturb(m, 0.2, seed)
+            assert got.vertices.tobytes() == ref.tobytes()
+            assert np.array_equal(got.cells, m.cells)
+
+
 class TestPerturb:
     def test_amplitude_zero_is_identity(self):
         m = build_structured_square(4)
@@ -230,6 +345,26 @@ class TestExport:
         m = build_slit(2)
         r = read_mesh_text(write_mesh_text(m))
         assert list(r.facet_tags) == list(m.facet_tags)
+
+    def test_tagged_square_roundtrip(self):
+        m = tag_subdomain(perturb_interior(build_structured_square(4), 0.2, 1),
+                          ((0, 0), (1.6, 1.6)), 3)
+        assert set(np.unique(m.cell_tags)) == {0, 3}
+        r = read_mesh_text(write_mesh_text(m))
+        fields_equal(r, m)
+
+    def test_slit_roundtrip(self):
+        m = build_slit(2)
+        r = validate(read_mesh_text(write_mesh_text(m)))
+        fields_equal(r, m)
+        assert len(r.crack_pairs) == 2
+
+    def test_untagged_text_unchanged(self):
+        # zero tags and no crack pairs write nothing after the facets
+        m = build_structured_cube(1)
+        text = write_mesh_text(m)
+        assert len(text.splitlines()) == 1 + m.num_vertices + m.num_cells + m.num_facets
+        fields_equal(read_mesh_text(text), m)
 
     def test_golden_unit_square(self):
         golden = (
