@@ -12,7 +12,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-import numpy as np
 import scipy.sparse as sparse
 
 from . import mesh as meshmod
@@ -74,120 +73,104 @@ def _slit_tags(mesh):
     return (meshmod.SLIT_TOP, meshmod.SLIT_BOTTOM)
 
 
-def ls_maxwell_2d(mesh, spec):
-    """Two-dimensional least-squares pencil.
+# kind -> (mesh dim, V family, Q family, gauge, bc); None takes the value
+# from the spec.  The three-field kind always carries the multiplier and
+# the two-field nodal kind never does; neither reads ``spec.bc``.
+_LS_KINDS = {
+    "ls2d": (2, None, None, None, None),
+    "ls3d_threefield": (3, "ned0", "ned0", "multiplier", "standard"),
+    "ls3d_twofield_nodal": (3, "vector_p1", "vector_p1", "none", "standard"),
+}
 
-    Left blocks {A, B^T; B, C} with A = (eps u, v) + (1/mu rot u, rot v),
-    B = -(u, curl q), C = (1/eps curl p, curl q); right block D = (p, rot v).
-    With ``gauge='multiplier'`` one bordered row enforces the zero mu-mean
-    of p.  ``bc='mixed_slit'`` constrains V on the exterior only and p on
-    the slit instead of the mean condition.
+
+def _border(S, rows):
+    """[[S, rows^T], [rows, 0]]: S bordered by constraint rows."""
+    return sparse.bmat([[S, rows.T], [rows, None]], format="csr")
+
+
+def _ls_pencil(mesh, spec, kind):
+    """Least-squares pencil of one of the :data:`_LS_KINDS`.
+
+    Left blocks {A, Bfull^T; Bfull, Cfull} with A = (eps u, v) + (1/mu rot
+    u, rot v), B = -(u, curl q), C = (1/eps curl p, curl q); right block D =
+    (p, rot v) with D = -B^T.  Cfull is C bordered by the gauge rows and
+    Bfull is B padded with zero rows to match.  With ``gauge='multiplier'``
+    a scalar potential has its mu-mean fixed by one row; an edge potential
+    is gauged by a nodal multiplier w through (q, grad w), and the mean of
+    w is fixed instead.  ``bc='mixed_slit'`` constrains V on the exterior
+    only and p on the slit instead of the mean condition.
     """
-    if mesh.dim != 2:
-        raise AssemblyError("ls_maxwell_2d requires a 2D mesh")
-    coeff = spec.coeff
-    if spec.bc == "mixed_slit":
-        v_tags = (meshmod.EXTERIOR,)
-        q_constraint = ("scalar_zero", _slit_tags(mesh))
-        use_multiplier = False
-    else:
-        v_tags = _all_tags(mesh)
-        q_constraint = None
-        use_multiplier = spec.gauge == "multiplier"
-    V = build_space(mesh, _vector_family(spec.elements_v), ("tangential_zero", v_tags))
-    Q = build_space(mesh, spec.elements_q, q_constraint)
+    dim, v_family, q_family, gauge, bc = _LS_KINDS[kind]
+    if mesh.dim != dim:
+        raise AssemblyError(f"{kind} requires a {dim}D mesh")
+    if kind == "ls3d_threefield" and {spec.elements_v, spec.elements_q} != {"ned0"}:
+        raise AssemblyError("the three-field system uses edge elements for V and Q")
+    v_family = v_family or _vector_family(spec.elements_v)
+    q_family = q_family or spec.elements_q
+    gauge, bc, coeff = gauge or spec.gauge, bc or spec.bc, spec.coeff
+    v_tags, q_constraint = _all_tags(mesh), None
+    if bc == "mixed_slit":
+        v_tags, q_constraint = (meshmod.EXTERIOR,), ("scalar_zero", _slit_tags(mesh))
+        gauge = "none"
+    with _per_build(mesh):
+        V = build_space(mesh, v_family, ("tangential_zero", v_tags))
+        Q = build_space(mesh, q_family, q_constraint)
+        A = assemble("eps_mass", V, V, coeff) + assemble("mu_inv_rot_rot", V, V, coeff)
+        B = assemble("curl_to_vector", Q, V, coeff)
+        C = assemble("eps_inv_curl_curl", Q, Q, coeff)
+        D = assemble("rot_pairing", V, Q, coeff)
 
-    A = assemble("eps_mass", V, V, coeff) + assemble("mu_inv_rot_rot", V, V, coeff)
-    B = assemble("curl_to_vector", Q, V, coeff)
-    C = assemble("eps_inv_curl_curl", Q, Q, coeff)
-    D = assemble("rot_pairing", V, Q, coeff)
+        A, vf, _ = eliminate_constraints(A, V, V)
+        B, qf, _ = eliminate_constraints(B, Q, V)
+        C, _, _ = eliminate_constraints(C, Q, Q)
+        D, _, _ = eliminate_constraints(D, V, Q)
 
-    A, vf, _ = eliminate_constraints(A, V, V)
-    B, qf, _ = eliminate_constraints(B, Q, V)
-    C, _, _ = eliminate_constraints(C, Q, Q)
-    D, _, _ = eliminate_constraints(D, V, Q)
-    nU, nQ = A.shape[0], C.shape[0]
-
-    blocks = {"A": A, "B": B, "C": C, "D": D}
-    ranges = {"u": slice(0, nU), "p": slice(nU, nU + nQ)}
-    if use_multiplier:
-        m = assemble("mu_mean_row", None, Q, coeff)[:, qf]
-        K = sparse.bmat([[A, B.T, _zeros(nU, 1)],
-                         [B, C, m.T],
-                         [_zeros(1, nU), m, None]], format="csr")
-        M = sparse.bmat([[_zeros(nU, nU), D, _zeros(nU, 1)],
-                         [_zeros(nQ, nU), _zeros(nQ, nQ), _zeros(nQ, 1)],
-                         [_zeros(1, nU), _zeros(1, nQ), _zeros(1, 1)]],
-                        format="csr")
-        ranges["lm"] = slice(nU + nQ, nU + nQ + 1)
-        blocks["mean_row"] = m
-        blocks["Bfull"] = sparse.vstack([B, _zeros(1, nU)], format="csr")
-        blocks["Cfull"] = sparse.bmat([[C, m.T], [m, None]], format="csr")
-    else:
-        K = sparse.bmat([[A, B.T], [B, C]], format="csr")
-        M = sparse.bmat([[_zeros(nU, nU), D],
-                         [_zeros(nQ, nU), _zeros(nQ, nQ)]], format="csr")
-        blocks["Bfull"], blocks["Cfull"] = B, C
-    pencil = BlockPencil(K, M, ranges, primary="p", blocks=blocks,
-                         spaces={"u": (V, vf), "p": (Q, qf)},
-                         flags={"kind": "ls2d", "bc": spec.bc,
-                                "gauge": "multiplier" if use_multiplier else "none",
-                                "singular": spec.bc == "standard" and not use_multiplier})
+        blocks = {"A": A, "B": B, "C": C, "D": D}
+        spaces = {"u": (V, vf), "p": (Q, qf)}
+        sizes = {"u": A.shape[0], "p": C.shape[0]}
+        Cfull = C
+        if gauge == "multiplier":
+            if Q.kind == "edge":
+                W = build_space(mesh, "p1", None)
+                G = assemble("grad_pairing_3d", Q, W, coeff)
+                G, _, wf = eliminate_constraints(G, Q, W)
+                m = assemble("mu_mean_row", None, W, coeff)[:, wf]
+                w_mean = sparse.hstack([_zeros(1, C.shape[0]), m])
+                Cfull = _border(_border(C, G.T), w_mean)
+                blocks["G"], spaces["w"], sizes["w"] = G, (W, wf), len(wf)
+            else:
+                m = assemble("mu_mean_row", None, Q, coeff)[:, qf]
+                Cfull = _border(C, m)
+            blocks["mean_row"], sizes["lm"] = m, 1
+    nU, nC = A.shape[0], Cfull.shape[0]
+    Bfull = sparse.vstack([B, _zeros(nC - B.shape[0], nU)], format="csr")
+    blocks["Bfull"], blocks["Cfull"] = Bfull, Cfull
+    Dfull = sparse.hstack([D, _zeros(nU, nC - D.shape[1])])
+    K = sparse.bmat([[A, Bfull.T], [Bfull, Cfull]], format="csr")
+    M = sparse.bmat([[_zeros(nU, nU), Dfull], [_zeros(nC, nU), _zeros(nC, nC)]],
+                    format="csr")
+    ranges, start = {}, 0
+    for name, size in sizes.items():
+        ranges[name] = slice(start, start + size)
+        start += size
+    pencil = BlockPencil(K, M, ranges, primary="p", blocks=blocks, spaces=spaces,
+                         flags={"kind": kind, "bc": bc, "gauge": gauge,
+                                "singular": bc == "standard" and gauge == "none",
+                                "theory_covered": kind != "ls3d_twofield_nodal"})
     return validate_pencil(pencil)
+
+
+def ls_maxwell_2d(mesh, spec):
+    """Two-dimensional least-squares pencil: V edge or vector nodal, p
+    nodal, with the mean-value multiplier unless ``spec.gauge='none'``."""
+    return _ls_pencil(mesh, spec, "ls2d")
 
 
 def ls_maxwell_3d_threefield(mesh, spec):
     """Three-dimensional three-field pencil: edge elements for both vector
     fields, a nodal multiplier field enforcing the weighted divergence
     gauge, and one scalar row fixing the multiplier's mean."""
-    if mesh.dim != 3:
-        raise AssemblyError("ls_maxwell_3d_threefield requires a 3D mesh")
-    if spec.elements_v != "ned0" or spec.elements_q != "ned0":
-        raise AssemblyError("the three-field system uses edge elements for V and Q")
-    coeff = spec.coeff
-    V = build_space(mesh, "ned0", ("tangential_zero", _all_tags(mesh)))
-    Q = build_space(mesh, "ned0", None)
-    W = build_space(mesh, "p1", None)
-
-    A = assemble("eps_mass", V, V, coeff) + assemble("mu_inv_rot_rot", V, V, coeff)
-    B = assemble("curl_to_vector", Q, V, coeff)
-    C = assemble("eps_inv_curl_curl", Q, Q, coeff)
-    D = assemble("rot_pairing", V, Q, coeff)
-    Gw = assemble("grad_pairing_3d", Q, W, coeff)
-    mw = assemble("mu_mean_row", None, W, CoefficientField.unit())
-
-    A, vf, _ = eliminate_constraints(A, V, V)
-    B, qf, _ = eliminate_constraints(B, Q, V)
-    C, _, _ = eliminate_constraints(C, Q, Q)
-    D, _, _ = eliminate_constraints(D, V, Q)
-    Gw, _, _ = eliminate_constraints(Gw, Q, W)
-    nU, nQ, nW = A.shape[0], C.shape[0], W.num_dofs
-
-    K = sparse.bmat([
-        [A, B.T, _zeros(nU, nW), _zeros(nU, 1)],
-        [B, C, Gw, _zeros(nQ, 1)],
-        [_zeros(nW, nU), Gw.T, _zeros(nW, nW), mw.T],
-        [_zeros(1, nU), _zeros(1, nQ), mw, None]], format="csr")
-    M = sparse.bmat([
-        [_zeros(nU, nU), D, _zeros(nU, nW), _zeros(nU, 1)],
-        [_zeros(nQ, nU), _zeros(nQ, nQ), _zeros(nQ, nW), _zeros(nQ, 1)],
-        [_zeros(nW, nU), _zeros(nW, nQ), _zeros(nW, nW), _zeros(nW, 1)],
-        [_zeros(1, nU), _zeros(1, nQ), _zeros(1, nW), _zeros(1, 1)]],
-        format="csr")
-    ranges = {"u": slice(0, nU), "p": slice(nU, nU + nQ),
-              "w": slice(nU + nQ, nU + nQ + nW),
-              "lm": slice(nU + nQ + nW, nU + nQ + nW + 1)}
-    blocks = {
-        "A": A, "B": B, "C": C, "D": D, "G": Gw, "mean_row": mw,
-        "Bfull": sparse.vstack([B, _zeros(nW + 1, nU)], format="csr"),
-        "Cfull": sparse.bmat([[C, Gw, _zeros(nQ, 1)],
-                              [Gw.T, _zeros(nW, nW), mw.T],
-                              [_zeros(1, nQ), mw, None]], format="csr"),
-    }
-    pencil = BlockPencil(K, M, ranges, primary="p", blocks=blocks,
-                         spaces={"u": (V, vf), "p": (Q, qf), "w": (W, np.arange(nW))},
-                         flags={"kind": "ls3d_threefield"})
-    return validate_pencil(pencil)
+    return _ls_pencil(mesh, spec, "ls3d_threefield")
 
 
 def ls_maxwell_3d_twofield_nodal(mesh, spec):
@@ -198,33 +181,7 @@ def ls_maxwell_3d_twofield_nodal(mesh, spec):
     curl-free directions; the pencil is flagged as outside the covered
     theory and relies on the degenerate-mode filtering downstream.
     """
-    if mesh.dim != 3:
-        raise AssemblyError("ls_maxwell_3d_twofield_nodal requires a 3D mesh")
-    coeff = spec.coeff
-    V = build_space(mesh, "vector_p1", ("tangential_zero", _all_tags(mesh)))
-    Q = build_space(mesh, "vector_p1", None)
-
-    A = assemble("eps_mass", V, V, coeff) + assemble("mu_inv_rot_rot", V, V, coeff)
-    B = assemble("curl_to_vector", Q, V, coeff)
-    C = assemble("eps_inv_curl_curl", Q, Q, coeff)
-    D = assemble("rot_pairing", V, Q, coeff)
-
-    A, vf, _ = eliminate_constraints(A, V, V)
-    B, qf, _ = eliminate_constraints(B, Q, V)
-    C, _, _ = eliminate_constraints(C, Q, Q)
-    D, _, _ = eliminate_constraints(D, V, Q)
-    nU, nQ = A.shape[0], C.shape[0]
-
-    K = sparse.bmat([[A, B.T], [B, C]], format="csr")
-    M = sparse.bmat([[_zeros(nU, nU), D],
-                     [_zeros(nQ, nU), _zeros(nQ, nQ)]], format="csr")
-    ranges = {"u": slice(0, nU), "p": slice(nU, nU + nQ)}
-    blocks = {"A": A, "B": B, "C": C, "D": D, "Bfull": B, "Cfull": C}
-    pencil = BlockPencil(K, M, ranges, primary="p", blocks=blocks,
-                         spaces={"u": (V, vf), "p": (Q, qf)},
-                         flags={"kind": "ls3d_twofield_nodal",
-                                "theory_covered": False, "singular": True})
-    return validate_pencil(pencil)
+    return _ls_pencil(mesh, spec, "ls3d_twofield_nodal")
 
 
 def galerkin_laplace(mesh, bc="standard"):
@@ -241,9 +198,10 @@ def galerkin_laplace(mesh, bc="standard"):
     else:
         constraint = None
         drop = True
-    P = build_space(mesh, "p1", constraint)
-    K = assemble("stiffness_laplace", P, P)
-    Mm = assemble("mass_scalar", P, P)
+    with _per_build(mesh):
+        P = build_space(mesh, "p1", constraint)
+        K = assemble("stiffness_laplace", P, P)
+        Mm = assemble("mass_scalar", P, P)
     K, pf, _ = eliminate_constraints(K, P, P)
     Mm, _, _ = eliminate_constraints(Mm, P, P)
     return SymmetricPencil(K, Mm, drop_near_zero=drop, space=(P, pf),
@@ -262,10 +220,11 @@ def curlcurl_edge(mesh, coeff=None):
         raise AssemblyError("curlcurl_edge is used as a 2D reference")
     coeff = coeff or CoefficientField.unit()
     tags = _all_tags(mesh)
-    V = build_space(mesh, "ned0", ("tangential_zero", tags))
-    P = build_space(mesh, "p1", ("scalar_zero", tags))
-    S = assemble("mu_inv_rot_rot", V, V, coeff)
-    Mm = assemble("eps_mass", V, V, coeff)
+    with _per_build(mesh):
+        V = build_space(mesh, "ned0", ("tangential_zero", tags))
+        P = build_space(mesh, "p1", ("scalar_zero", tags))
+        S = assemble("mu_inv_rot_rot", V, V, coeff)
+        Mm = assemble("eps_mass", V, V, coeff)
     S, vf, _ = eliminate_constraints(S, V, V)
     Mm, _, _ = eliminate_constraints(Mm, V, V)
     G = discrete_gradient(V, P)
@@ -275,19 +234,15 @@ def curlcurl_edge(mesh, coeff=None):
 
 
 def build_pencil(mesh, spec):
-    """Dispatch a :class:`FormulationSpec` to its builder.
-
-    The builder's spaces and forms share one set of per-mesh work (cell
-    geometry, edges, dof maps, sparsity patterns), dropped on return."""
-    with _per_build(mesh):
-        if spec.kind == "ls2d":
-            return ls_maxwell_2d(mesh, spec)
-        if spec.kind == "ls3d_threefield":
-            return ls_maxwell_3d_threefield(mesh, spec)
-        if spec.kind == "ls3d_twofield_nodal":
-            return ls_maxwell_3d_twofield_nodal(mesh, spec)
-        if spec.kind == "galerkin_laplace":
-            return galerkin_laplace(mesh, spec.bc)
-        if spec.kind == "curlcurl_edge":
-            return curlcurl_edge(mesh, spec.coeff)
+    """Dispatch a :class:`FormulationSpec` to its builder."""
+    if spec.kind == "ls2d":
+        return ls_maxwell_2d(mesh, spec)
+    if spec.kind == "ls3d_threefield":
+        return ls_maxwell_3d_threefield(mesh, spec)
+    if spec.kind == "ls3d_twofield_nodal":
+        return ls_maxwell_3d_twofield_nodal(mesh, spec)
+    if spec.kind == "galerkin_laplace":
+        return galerkin_laplace(mesh, spec.bc)
+    if spec.kind == "curlcurl_edge":
+        return curlcurl_edge(mesh, spec.coeff)
     raise AssemblyError(f"unknown formulation kind {spec.kind!r}")

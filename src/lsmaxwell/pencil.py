@@ -592,8 +592,11 @@ def coercivity_check(pencil):
         raise PencilError("coercivity check limited to the dense size")
     if "mean_row" in pencil.blocks:
         m = np.asarray(pencil.blocks["mean_row"].todense()).ravel()
-        j0 = int(np.argmax(np.abs(m)))
         nq = len(m)
+        if nq != C.shape[0]:
+            raise PencilError("the mean row borders a multiplier field, not "
+                              "the p block; the coercivity check does not apply")
+        j0 = int(np.argmax(np.abs(m)))
         N = np.zeros((nq, nq - 1))
         cols = [j for j in range(nq) if j != j0]
         for c, j in enumerate(cols):

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sparse
 
-from lsmaxwell import assembly, elements
+from lsmaxwell import assembly, elements, formulations
 from lsmaxwell.assembly import (FORMS, AssemblyError, CoefficientField,
                                 assemble, build_space, discrete_gradient,
                                 eliminate_constraints, expand_vector,
@@ -427,6 +427,23 @@ class TestBuildCache:
             got, want = build_pencil(derived, spec), build_pencil(again, spec)
             assert _same_matrix(got.K, want.K)
             assert _same_matrix(got.M, want.M)
+
+    @pytest.mark.parametrize("name, mesh, args", [
+        ("ls_maxwell_2d", build_structured_square(3), (FormulationSpec(elements_v="p1"),)),
+        ("ls_maxwell_3d_threefield", build_structured_cube(1),
+         (FormulationSpec(kind="ls3d_threefield", elements_q="ned0"),)),
+        ("galerkin_laplace", build_structured_square(3), ()),
+        ("curlcurl_edge", build_structured_square(3), ())])
+    def test_direct_builder_call_shares_geometry(self, name, mesh, args, monkeypatch):
+        # called directly, not through build_pencil, a builder still
+        # computes the cell geometry once for all of its forms
+        calls = []
+        geometry = assembly._geometry
+        monkeypatch.setattr(assembly, "_geometry",
+                            lambda m: calls.append(m) or geometry(m))
+        getattr(formulations, name)(mesh, *args)
+        assert calls == [mesh]
+        assert assembly._BUILD.get() is None
 
     def test_nothing_left_after_build(self):
         m = build_structured_square(3)

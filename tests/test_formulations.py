@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 import scipy.linalg
+import scipy.sparse as sparse
 
 from lsmaxwell.assembly import AssemblyError, CoefficientField
 from lsmaxwell.bench import solve_spectrum
@@ -10,8 +11,9 @@ from lsmaxwell.formulations import (FormulationSpec, build_pencil,
                                     curlcurl_edge, galerkin_laplace,
                                     ls_maxwell_2d, ls_maxwell_3d_threefield,
                                     ls_maxwell_3d_twofield_nodal)
-from lsmaxwell.mesh import (Mesh, boundary_facets_of, build_slit,
-                            build_structured_cube, build_structured_square,
+from lsmaxwell.mesh import (Mesh, boundary_facets_of, build_lshape,
+                            build_slit, build_structured_cube,
+                            build_structured_square, perturb_interior,
                             tag_subdomain)
 from lsmaxwell.pencil import dense_qz, shift_invert_eigs
 
@@ -236,3 +238,214 @@ class TestConsistency:
         assert build_pencil(m, FormulationSpec(kind="ls2d")).flags["kind"] == "ls2d"
         assert build_pencil(m, FormulationSpec(kind="galerkin_laplace")).flags["kind"] == "galerkin_laplace"
         assert build_pencil(m, FormulationSpec(kind="curlcurl_edge")).flags["kind"] == "curlcurl_edge"
+
+
+# Fingerprints of the least-squares pencils on ten configurations, frozen
+# from the three separate builders that preceded the shared block builder:
+# shape, nnz, sum of |entries| and one position-weighted sum per matrix.
+# A refactoring of the builders must reproduce them to roundoff.
+JUMP = CoefficientField(eps={0: 1.0, 1: 2.5}, mu={0: 1.0, 1: 0.5})
+GOLDEN_CONFIGS = {
+    "ls2d_ned0": (ls_maxwell_2d, lambda: build_structured_square(4), {}),
+    "ls2d_p1": (ls_maxwell_2d, lambda: build_structured_square(4),
+                {"elements_v": "p1"}),
+    "ls2d_p2": (ls_maxwell_2d, lambda: build_structured_square(3),
+                {"elements_v": "p2", "elements_q": "p2"}),
+    "ls2d_nogauge": (ls_maxwell_2d, lambda: build_structured_square(4),
+                     {"gauge": "none"}),
+    "ls2d_jump": (ls_maxwell_2d,
+                  lambda: tag_subdomain(build_structured_square(4), QUARTER, 1),
+                  {"elements_v": "p1", "coeff": JUMP}),
+    "ls2d_slit_mult": (ls_maxwell_2d, lambda: build_slit(2), {"bc": "mixed_slit"}),
+    "ls2d_slit_none": (ls_maxwell_2d, lambda: build_slit(2),
+                       {"bc": "mixed_slit", "gauge": "none", "elements_v": "p1"}),
+    "ls2d_lshape_crisscross": (ls_maxwell_2d,
+                               lambda: build_lshape(2, diagonal="crisscross"), {}),
+    "threefield_cube": (ls_maxwell_3d_threefield,
+                        lambda: perturb_interior(build_structured_cube(4), 0.2, 1),
+                        {"kind": "ls3d_threefield", "elements_q": "ned0"}),
+    "twofield_cube": (ls_maxwell_3d_twofield_nodal,
+                      lambda: perturb_interior(build_structured_cube(4), 0.2, 2),
+                      {"kind": "ls3d_twofield_nodal", "elements_v": "p1",
+                       "elements_q": "p1", "gauge": "none"}),
+}
+
+_GOLDEN = {
+    "ls2d_ned0": {
+        "ranges": {"u": (0, 40), "p": (40, 65), "lm": (65, 66)},
+        "spaces": {"u": ("ned0", 56, 40), "p": ("p1", 25, 25)},
+        "K": ((66, 66), 543, 903.7687852984648, 160.49828506451),
+        "M": ((66, 66), 108, 26.66666666666666, 0.13861386138613763),
+        "blocks": {
+            "A": ((40, 40), 172, 702.6962431629527, 134.62416618839254),
+            "B": ((25, 40), 108, 26.66666666666666, 0.4125412541254134),
+            "Bfull": ((26, 40), 108, 26.66666666666666, 0.4125412541254134),
+            "C": ((25, 25), 105, 127.99999999999997, 2.9999999999999973),
+            "Cfull": ((26, 26), 155, 147.73920880217872, 32.954900816342565),
+            "D": ((40, 25), 108, 26.66666666666666, 0.47194719471947255),
+            "mean_row": ((1, 25), 25, 9.869604401089356, 14.421674417763409),
+        },
+    },
+    "ls2d_p1": {
+        "ranges": {"u": (0, 30), "p": (30, 55), "lm": (55, 56)},
+        "spaces": {"u": ("vector_p1", 50, 30), "p": ("p1", 25, 25)},
+        "K": ((56, 56), 797, 359.8742956607048, 78.30679235067332),
+        "M": ((56, 56), 183, 25.132741228718345, 0.13997194991241596),
+        "blocks": {
+            "A": ((30, 30), 276, 161.86960440108933, 50.093581140157546),
+            "B": ((25, 30), 183, 25.132741228718345, 0.39788322799177633),
+            "Bfull": ((26, 30), 183, 25.132741228718345, 0.39788322799177633),
+            "C": ((25, 25), 105, 127.99999999999997, 2.9999999999999973),
+            "Cfull": ((26, 26), 155, 147.73920880217872, 32.954900816342565),
+            "D": ((30, 25), 183, 25.132741228718345, -0.12182743788673361),
+            "mean_row": ((1, 25), 25, 9.869604401089356, 14.421674417763409),
+        },
+    },
+    "ls2d_p2": {
+        "ranges": {"u": (0, 70), "p": (70, 119), "lm": (119, 120)},
+        "spaces": {"u": ("vector_p2", 98, 70), "p": ("p2", 49, 49)},
+        "K": ((120, 120), 2889, 1107.8963463151717, 89.79073825472909),
+        "M": ((120, 120), 660, 66.18288523562498, 0.9379848692896258),
+        "blocks": {
+            "A": ((70, 70), 1064, 571.7913670417431, 69.74749403066029),
+            "B": ((49, 70), 650, 66.18288523562498, -4.779782882194372),
+            "Bfull": ((50, 70), 650, 66.18288523562498, -4.779782882194372),
+            "C": ((49, 49), 427, 384.0, 7.333333333333323),
+            "Cfull": ((50, 50), 525, 403.7392088021788, 36.60194015093862),
+            "D": ((70, 49), 660, 66.18288523562498, 0.9379848692896267),
+            "mean_row": ((1, 49), 49, 9.869604401089356, 14.697639704005823),
+        },
+    },
+    "ls2d_nogauge": {
+        "ranges": {"u": (0, 40), "p": (40, 65)},
+        "spaces": {"u": ("ned0", 56, 40), "p": ("p1", 25, 25)},
+        "K": ((65, 65), 493, 884.029576496286, 130.5647602477985),
+        "M": ((65, 65), 108, 26.66666666666666, 0.13861386138613763),
+        "blocks": {
+            "A": ((40, 40), 172, 702.6962431629527, 134.62416618839254),
+            "B": ((25, 40), 108, 26.66666666666666, 0.4125412541254134),
+            "Bfull": ((25, 40), 108, 26.66666666666666, 0.4125412541254134),
+            "C": ((25, 25), 105, 127.99999999999997, 2.9999999999999973),
+            "Cfull": ((25, 25), 105, 127.99999999999997, 2.9999999999999973),
+            "D": ((40, 25), 108, 26.66666666666666, 0.47194719471947255),
+        },
+    },
+    "ls2d_jump": {
+        "ranges": {"u": (0, 30), "p": (30, 55), "lm": (55, 56)},
+        "spaces": {"u": ("vector_p1", 50, 30), "p": ("p1", 25, 25)},
+        "K": ((56, 56), 797, 379.9079962108409, 87.30179148917072),
+        "M": ((56, 56), 183, 25.132741228718345, 0.13997194991241596),
+        "blocks": {
+            "A": ((30, 30), 276, 203.57070605149787, 62.56551583251656),
+            "B": ((25, 30), 183, 25.132741228718345, 0.39788322799177633),
+            "Bfull": ((26, 30), 183, 25.132741228718345, 0.39788322799177633),
+            "C": ((25, 25), 105, 108.8, 2.999999999999999),
+            "Cfull": ((26, 26), 155, 126.07180770190637, 29.185599548063493),
+            "D": ((30, 25), 183, 25.132741228718345, -0.12182743788673361),
+            "mean_row": ((1, 25), 25, 8.635903850953186, 12.54364016446206),
+        },
+    },
+    "ls2d_slit_mult": {
+        "ranges": {"u": (0, 42), "p": (42, 64)},
+        "spaces": {"u": ("ned0", 58, 42), "p": ("p1", 27, 22)},
+        "K": ((64, 64), 436, 1857.333333333333, 385.49339933993394),
+        "M": ((64, 64), 89, 21.999999999999996, 0.8976897689768975),
+        "blocks": {
+            "A": ((42, 42), 174, 1711.333333333333, 377.6600660066006),
+            "B": ((22, 42), 89, 21.999999999999993, -1.0957095709570948),
+            "Bfull": ((22, 42), 89, 21.999999999999993, -1.0957095709570948),
+            "C": ((22, 22), 84, 101.99999999999997, 13.86633663366336),
+            "Cfull": ((22, 22), 84, 101.99999999999997, 13.86633663366336),
+            "D": ((42, 22), 89, 21.999999999999996, 0.9603960396039607),
+        },
+    },
+    "ls2d_slit_none": {
+        "ranges": {"u": (0, 33), "p": (33, 55)},
+        "spaces": {"u": ("vector_p1", 54, 33), "p": ("p1", 27, 22)},
+        "K": ((55, 55), 671, 284.0, 45.86169554455446),
+        "M": ((55, 55), 150, 12.999999999999996, 0.6443894389438947),
+        "blocks": {
+            "A": ((33, 33), 287, 156.0, 38.24618399339935),
+            "B": ((22, 33), 150, 12.999999999999996, -0.9207920792079207),
+            "Bfull": ((22, 33), 150, 12.999999999999996, -0.9207920792079207),
+            "C": ((22, 22), 84, 101.99999999999997, 13.86633663366336),
+            "Cfull": ((22, 22), 84, 101.99999999999997, 13.86633663366336),
+            "D": ((33, 22), 150, 12.999999999999996, 0.35396039603960416),
+        },
+    },
+    "ls2d_lshape_crisscross": {
+        "ranges": {"u": (0, 64), "p": (64, 97), "lm": (97, 98)},
+        "spaces": {"u": ("ned0", 80, 64), "p": ("p1", 33, 33)},
+        "K": ((98, 98), 739, 5936.666666666664, 847.3795379537951),
+        "M": ((98, 98), 128, 42.66666666666664, 0.19141914191419218),
+        "blocks": {
+            "A": ((64, 64), 288, 5653.333333333332, 847.4141914191417),
+            "B": ((33, 64), 128, 42.666666666666664, -0.46204620462046075),
+            "Bfull": ((34, 64), 128, 42.666666666666664, -0.46204620462046075),
+            "C": ((33, 33), 129, 192.0, 2.0),
+            "Cfull": ((34, 34), 195, 198.0, 10.870874587458747),
+            "D": ((64, 33), 128, 42.66666666666664, -0.475247524752476),
+            "mean_row": ((1, 33), 33, 3.0000000000000004, 4.442244224422442),
+        },
+    },
+    "threefield_cube": {
+        "ranges": {"u": (0, 316), "p": (316, 920), "w": (920, 1045), "lm": (1045, 1046)},
+        "spaces": {"u": ("ned0", 604, 316), "p": ("ned0", 604, 604), "w": ("p1", 125, 125)},
+        "K": ((1046, 1046), 29037, 20574.462153124354, 1687.4136468452107),
+        "M": ((1046, 1046), 4754, 268.0, -1.0676567656765723),
+        "blocks": {
+            "A": ((316, 316), 3916, 7276.736581664316, 569.6788242747757),
+            "B": ((604, 316), 4835, 268.00000000000006, 5.151815181518175),
+            "Bfull": ((730, 316), 4835, 268.00000000000006, 5.151815181518175),
+            "C": ((604, 604), 7727, 11839.51581056225, 1034.9278696078568),
+            "Cfull": ((730, 730), 15451, 12761.725571460036, 1130.5609302104344),
+            "D": ((316, 604), 4754, 268.0, -1.567656765676574),
+            "G": ((604, 125), 3737, 430.0986037685938, -0.43688429973057596),
+            "mean_row": ((1, 125), 125, 31.00627668029981, 46.50737302547694),
+        },
+    },
+    "twofield_cube": {
+        "ranges": {"u": (0, 135), "p": (135, 510)},
+        "spaces": {"u": ("vector_p1", 375, 135), "p": ("vector_p1", 375, 375)},
+        "K": ((510, 510), 21724, 4066.159741846991, 229.2190059437867),
+        "M": ((510, 510), 3608, 200.66422114135727, -0.7855785925211407),
+        "blocks": {
+            "A": ((135, 135), 3213, 1109.014187109168, 238.84217129462758),
+            "B": ((375, 135), 3608, 200.66422114135725, -0.4752654713720921),
+            "Bfull": ((375, 135), 3608, 200.66422114135725, -0.4752654713720921),
+            "C": ((375, 375), 11295, 2555.817112455108, 3.303862644419924),
+            "Cfull": ((375, 375), 11295, 2555.817112455108, 3.303862644419924),
+            "D": ((135, 375), 3608, 200.66422114135727, -0.7870104724700161),
+        },
+    },
+}
+
+
+def _fingerprint(mat):
+    coo = sparse.coo_matrix(mat)
+    w = 1.0 + ((7 * coo.row + 13 * coo.col) % 101) / 101.0
+    return (coo.shape, coo.nnz, float(np.abs(coo.data).sum()),
+            float((coo.data * w).sum()))
+
+
+def _same_fingerprint(got, want):
+    (shape, nnz, abs_sum, pos_sum), (w_shape, w_nnz, w_abs, w_pos) = got, want
+    tol = 1e-13 * max(w_abs, 1e-300)
+    return (shape == w_shape and nnz == w_nnz and abs(abs_sum - w_abs) <= tol
+            and abs(pos_sum - w_pos) <= 2 * tol)
+
+
+class TestGoldenPencils:
+    @pytest.mark.parametrize("name", sorted(GOLDEN_CONFIGS))
+    def test_pencil_matches_frozen(self, name):
+        builder, make_mesh, kw = GOLDEN_CONFIGS[name]
+        pen = builder(make_mesh(), FormulationSpec(**kw))
+        want = _GOLDEN[name]
+        assert {k: (s.start, s.stop) for k, s in pen.ranges.items()} == want["ranges"]
+        assert {k: (sp.family, sp.num_dofs, len(free))
+                for k, (sp, free) in pen.spaces.items()} == want["spaces"]
+        assert _same_fingerprint(_fingerprint(pen.K), want["K"])
+        assert _same_fingerprint(_fingerprint(pen.M), want["M"])
+        assert sorted(pen.blocks) == sorted(want["blocks"])
+        for k, fp in want["blocks"].items():
+            assert _same_fingerprint(_fingerprint(pen.blocks[k]), fp), k

@@ -230,6 +230,13 @@ class TestStructure:
             pen = ls_maxwell_2d(m, FormulationSpec(kind="ls2d", elements_v=ev))
             assert coercivity_check(pen)
 
+    def test_coercivity_rejects_multiplier_mean_row(self):
+        # the three-field mean row borders the multiplier w, not p
+        pen = ls_maxwell_3d_threefield(build_structured_cube(2), FormulationSpec(
+            kind="ls3d_threefield", elements_q="ned0"))
+        with pytest.raises(PencilError, match="mean row"):
+            coercivity_check(pen)
+
     def test_orthogonality(self):
         m = build_structured_square(8)
         pen = ls_maxwell_2d(m, FormulationSpec(kind="ls2d"))

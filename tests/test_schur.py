@@ -31,6 +31,13 @@ def _cases():
         "ls2d-nodal": (sq, FormulationSpec(kind="ls2d", elements_v="p1"), 10),
         "ls3d-threefield": (cube, FormulationSpec(kind="ls3d_threefield",
                                                   elements_q="ned0"), 10),
+        # the multiplier's mean row is mu-weighted with the pencil's own
+        # coefficients, so tagged cells need no entry in the unit field
+        "ls3d-threefield-tagged": (
+            tag_subdomain(cube, ((0, 0, 0), (2, 2, 3.2)), 1),
+            FormulationSpec(kind="ls3d_threefield", elements_q="ned0",
+                            coeff=CoefficientField(eps={0: 1.0, 1: 2.0},
+                                                   mu={0: 1.0, 1: 3.0})), 10),
         # at most dim(u) = 9 finite modes at n = 2
         "ls3d-twofield": (cube, FormulationSpec(
             kind="ls3d_twofield_nodal", elements_v="p1", elements_q="p1",
