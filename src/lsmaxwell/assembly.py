@@ -101,7 +101,8 @@ class FESpace:
         return int(self.family[-1])
 
     def free_dofs(self):
-        return np.setdiff1d(np.arange(self.num_dofs), self.constrained)
+        return _cached(self.mesh, ("free", self.num_dofs, self.constrained.tobytes()),
+                       lambda: np.setdiff1d(np.arange(self.num_dofs), self.constrained))
 
 
 # (mesh, cache) of the pencil build in progress, see _per_build
@@ -112,9 +113,9 @@ _BUILD = ContextVar("_BUILD", default=None)
 def _per_build(mesh):
     """Share the per-mesh work of one pencil build among its build_space
     and assemble calls: cell geometry, the edge structure, unconstrained
-    dof maps and CSR scatter patterns.  The cache is keyed by the mesh
-    object and dropped on exit, so a later build, or a ``replace``d copy
-    of the mesh, computes its own."""
+    dof maps, per-cell quantity maps, free dofs and CSR scatter patterns.
+    The cache is keyed by the mesh object and dropped on exit, so a later
+    build, or a ``replace``d copy of the mesh, computes its own."""
     token = _BUILD.set((mesh, {}))
     try:
         yield
@@ -383,26 +384,24 @@ def assemble(form, test_space, trial_space, coeff=None):
     nt, nu = test_space.cell_dofs.shape[1], trial_space.cell_dofs.shape[1]
     coef_all = np.broadcast_to(spec.coef(coeff, mesh), (mesh.num_cells,))
 
-    J, detJ, JinvT = _cached(mesh, "geometry", lambda: _geometry(mesh))
-
-    def maps(sl):
-        return map_t(J[sl], detJ[sl], JinvT[sl]), map_u(J[sl], detJ[sl], JinvT[sl])
-
-    # component counts come from the maps of no cells, before any pattern work
-    tmap, umap = maps(slice(0, 0))
-    if tmap.shape[1] != umap.shape[1]:
+    geometry = _cached(mesh, "geometry", lambda: _geometry(mesh))
+    detJ = geometry[1]
+    # the per-cell maps depend on the space kind and quantity only, so the
+    # forms of a build share them
+    tmaps = _cached(mesh, ("map", test_space.kind, spec.test), lambda: map_t(*geometry))
+    umaps = _cached(mesh, ("map", trial_space.kind, spec.trial), lambda: map_u(*geometry))
+    if tmaps.shape[1] != umaps.shape[1]:
         raise AssemblyError(
-            f"form {form!r} pairs a {tmap.shape[1]}-component {test_space.kind} "
-            f"{spec.test} with a {umap.shape[1]}-component {trial_space.kind} {spec.trial}")
+            f"form {form!r} pairs a {tmaps.shape[1]}-component {test_space.kind} "
+            f"{spec.test} with a {umaps.shape[1]}-component {trial_space.kind} {spec.trial}")
     indptr, indices, slot = _cached(
         mesh, ("pattern", test_space.family, trial_space.family),
         lambda: _pattern(test_space, trial_space))
     data = np.zeros(len(indices))
     for start in range(0, mesh.num_cells, _CHUNK):
         sl = slice(start, min(start + _CHUNK, mesh.num_cells))
-        tmap, umap = maps(sl)
         # cells on the last, contiguous axis keep einsum's inner loops long
-        G = np.einsum("c,cixa,ciyb->abxyc", coef_all[sl] * detJ[sl], tmap, umap)
+        G = np.einsum("c,cixa,ciyb->abxyc", coef_all[sl] * detJ[sl], tmaps[sl], umaps[sl])
         # einsum's loops rather than a BLAS product: on symmetric cells the
         # terms that cancel come out as exact zeros instead of roundoff
         # entries that widen the sparsity pattern

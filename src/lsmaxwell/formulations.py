@@ -10,7 +10,7 @@ Laplacian and the curl-curl operator on edge elements.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import scipy.sparse as sparse
 
@@ -31,7 +31,9 @@ class FormulationSpec:
     ``elements_v`` is 'ned0' or a nodal degree 'p1'/'p2' (vector-valued);
     ``elements_q`` is nodal in 2D and 'ned0' for the 3D three-field system.
     ``gauge`` selects the mean-value multiplier ('multiplier') or drops the
-    constraint ('none'); the three-field system requires the multiplier.
+    constraint ('none').  The 3D least-squares kinds fix their elements,
+    gauge and bc (``_LS_KINDS``); a spec for one of them leaves such a
+    field at its default or gives it the fixed value, else it is rejected.
     """
 
     kind: str = "ls2d"
@@ -44,10 +46,16 @@ class FormulationSpec:
     def __post_init__(self):
         if self.kind not in KINDS:
             raise AssemblyError(f"unknown formulation kind {self.kind!r}")
-        if self.kind == "ls3d_threefield" and self.gauge != "multiplier":
-            raise AssemblyError("the three-field system requires gauge='multiplier'")
+        fixed = _LS_KINDS.get(self.kind, (None,) * 5)[1:]
+        for name, value in zip(("elements_v", "elements_q", "gauge", "bc"), fixed):
+            want, got = value and value.removeprefix("vector_"), getattr(self, name)
+            if want is not None and got not in (want, _SPEC_DEFAULTS[name]):
+                raise AssemblyError(f"{self.kind} fixes {name} = {want!r}, got {got!r}")
         if self.bc not in ("standard", "mixed_slit"):
             raise AssemblyError(f"unknown bc mode {self.bc!r}")
+
+
+_SPEC_DEFAULTS = {f.name: f.default for f in fields(FormulationSpec)}
 
 
 def _zeros(nr, nc):
@@ -75,7 +83,8 @@ def _slit_tags(mesh):
 
 # kind -> (mesh dim, V family, Q family, gauge, bc); None takes the value
 # from the spec.  The three-field kind always carries the multiplier and
-# the two-field nodal kind never does; neither reads ``spec.bc``.
+# the two-field nodal kind never does.  A spec for a kind may give a fixed
+# field only its fixed value (without the 'vector_' prefix) or the default.
 _LS_KINDS = {
     "ls2d": (2, None, None, None, None),
     "ls3d_threefield": (3, "ned0", "ned0", "multiplier", "standard"),
@@ -97,8 +106,10 @@ def _ls_pencil(mesh, spec, kind):
     Bfull is B padded with zero rows to match.  With ``gauge='multiplier'``
     a scalar potential has its mu-mean fixed by one row; an edge potential
     is gauged by a nodal multiplier w through (q, grad w), and the mean of
-    w is fixed instead.  ``bc='mixed_slit'`` constrains V on the exterior
-    only and p on the slit instead of the mean condition.
+    w is fixed instead; ``Gd``, the discrete gradient on the free dofs,
+    maps w to gradients, which C and B^T annihilate.  ``bc='mixed_slit'``
+    constrains V on the exterior only and p on the slit instead of the
+    mean condition.
     """
     dim, v_family, q_family, gauge, bc = _LS_KINDS[kind]
     if mesh.dim != dim:
@@ -138,6 +149,7 @@ def _ls_pencil(mesh, spec, kind):
                 w_mean = sparse.hstack([_zeros(1, C.shape[0]), m])
                 Cfull = _border(_border(C, G.T), w_mean)
                 blocks["G"], spaces["w"], sizes["w"] = G, (W, wf), len(wf)
+                blocks["Gd"] = discrete_gradient(Q, W)[qf][:, wf].tocsr()
             else:
                 m = assemble("mu_mean_row", None, Q, coeff)[:, qf]
                 Cfull = _border(C, m)

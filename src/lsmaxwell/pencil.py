@@ -2,7 +2,7 @@
 
 Sparse LU factorization; the production solver for least-squares block
 pencils, which eliminates the potential and solves the symmetric reduction
-A u = (lambda + 1) B^T C^{-1} B u; and the oracles it is checked against:
+A u = (lambda + 1) B^T C^+ B u; and the oracles it is checked against:
 shift-invert Arnoldi on (K, M) with filtering of infinite and degenerate
 modes, dense QZ, and the dense Schur-complement reduction.
 """
@@ -53,8 +53,9 @@ class BlockPencil:
     e.g. {'u': ..., 'p': ..., 'w': ..., 'lm': ...}.  ``primary`` names the
     block through which M acts on the eigenvector; it must not vanish for
     a pair to count as an eigensolution.  ``blocks`` optionally keeps the
-    constituent matrices ('A', 'B', 'C', 'D', 'Bfull', 'Cfull') for
-    validation and the Schur reduction.
+    constituent matrices ('A', 'B', 'C', 'D', 'Bfull', 'Cfull', and the
+    gauge blocks 'mean_row', 'G', 'Gd') for validation and the Schur
+    reduction.
     """
 
     K: sparse.csr_matrix
@@ -376,9 +377,10 @@ def _refined_solver(C):
 
     The relative shift keeps the factorization independent of scale and
     makes a singular C factorable; for b in range(C), which holds for
-    every b = Bfull u since range(Bfull) is orthogonal to ker(Cfull), the
-    refinement removes the O(rho) error and the kernel component of x is
-    left arbitrary, which the pencil does not see.
+    every b = B u since range(B) is orthogonal to ker(C) (curl grad = 0,
+    and in 2D the curl of a constant vanishes), the refinement removes the
+    O(rho) error and the kernel component of x is left arbitrary, which
+    R = B^T C^+ B does not see.
     """
     rho = _REG_SCALE * float(np.abs(C.data).max() if C.nnz else 1.0)
     handle = factorize(C + rho * sparse.identity(C.shape[0], format="csc"),
@@ -394,19 +396,46 @@ def _lu_nnz(handle):
     return int(handle._lu.L.nnz + handle._lu.U.nnz)
 
 
+def _fix_gauge(pencil, P):
+    """Potentials P (one per column), known up to ker(C), moved onto the
+    gauge of the bordered pencil; returns them stacked over zero
+    multiplier rows.
+
+    An edge potential q gets G^T q = 0: q - Gd phi with the discrete
+    gradient Gd and [[G^T Gd, m^T], [m, 0]] phi = [G^T q; 0], a mu-weighted
+    P1 Laplacian bordered by the mean row and factored once for every
+    column.  A scalar potential with a mean row m gets m.p = 0 by
+    subtracting the constant m.p / m.1.  The multipliers w and lm are zero.
+    """
+    blocks = pencil.blocks
+    if "w" in pencil.ranges:
+        G, Gd, m = blocks["G"], blocks["Gd"], blocks["mean_row"]
+        S = sparse.bmat([[G.T @ Gd, m.T], [m, None]], format="csc")
+        rhs = np.vstack([G.T @ P, np.zeros((1, P.shape[1]))])
+        P = P - Gd @ factorize(S, probe=False).solve(rhs)[:-1]
+    elif "lm" in pencil.ranges:
+        m = blocks["mean_row"].toarray().ravel()
+        P = P - (m @ P) / m.sum()
+    extra = pencil.size - pencil.ranges["p"].stop
+    return np.vstack([P, np.zeros((extra, P.shape[1]))])
+
+
 def schur_eigs(pencil, nev=10, seed=0):
     """Smallest finite eigenpairs of an LS block pencil through the
     symmetric Schur reduction.
 
     Eliminating the potential block gives R u = mu A u with the SPD block A,
-    R = Bfull^T Cfull^{-1} Bfull and mu = 1/(1 + lambda); the infinite
-    modes sit at mu = 0 (pairs with mu <= MU_INFINITE * max mu), so the
-    largest mu are the wanted pairs.  Small blocks are solved densely with
-    ``scipy.linalg.eigh(R, A)``, larger ones with Lanczos in the A inner
-    product (``eigsh`` with M = A), R applied as an operator.  The potential
-    is recovered as p = -Cfull^{-1} Bfull u; every pair still passes
-    :func:`filter_spectrum`'s residual gate on K and M, without the absolute
-    finite cutoff.
+    R = B^T C^+ B and mu = 1/(1 + lambda).  The gauge rows bordered onto C
+    (the mean row, the multiplier w) do not change R, since B^T annihilates
+    ker(C), so only the plain C block is factored, through
+    :func:`_refined_solver`.  The infinite modes sit at mu = 0 (pairs with
+    mu <= MU_INFINITE * max mu), so the largest mu are the wanted pairs.
+    Small blocks are solved densely with ``scipy.linalg.eigh(R, A)``,
+    larger ones with Lanczos in the A inner product (``eigsh`` with M = A),
+    R applied as an operator.  The potential is recovered as p = -C^+ B u
+    and moved onto the gauge by :func:`_fix_gauge`; every pair still passes
+    :func:`filter_spectrum`'s residual gate on K and M, without the
+    absolute finite cutoff.
 
     ``meta`` records ``path`` ('dense' or 'sparse'), the shift ``rho`` and
     ``refinement_steps`` of the C solves, the block sizes ``size_A`` and
@@ -417,11 +446,11 @@ def schur_eigs(pencil, nev=10, seed=0):
     taken on the dense path, where ncv is None).
     """
     try:
-        A, B, C = (pencil.blocks[k] for k in ("A", "Bfull", "Cfull"))
+        A, B, C = (pencil.blocks[k] for k in ("A", "B", "C"))
     except KeyError:
         raise PencilError("pencil carries no Schur blocks") from None
     nU, nC = A.shape[0], C.shape[0]
-    if pencil.ranges["u"] != slice(0, nU) or pencil.size != nU + nC:
+    if pencil.ranges["u"] != slice(0, nU) or pencil.ranges["p"] != slice(nU, nU + nC):
         raise PencilError("Schur blocks do not match the pencil layout")
     A, B, C = A.tocsc(), B.tocsr(), C.tocsc()
     csolve, chandle, rho = _refined_solver(C)
@@ -460,7 +489,8 @@ def schur_eigs(pencil, nev=10, seed=0):
     finite = mu > MU_INFINITE * mu.max(initial=0.0)
     lam = np.full(len(mu), np.inf)
     lam[finite] = 1.0 / mu[finite] - 1.0
-    sol = filter_spectrum(pencil, lam, np.vstack([U, Y]), finite_cutoff=np.inf)
+    Z = np.vstack([U, _fix_gauge(pencil, Y)])
+    sol = filter_spectrum(pencil, lam, Z, finite_cutoff=np.inf)
     if len(sol.eigenvalues) < nev:
         raise PencilError(
             f"only {len(sol.eigenvalues)} finite eigenpairs passed filtering "

@@ -445,6 +445,23 @@ class TestBuildCache:
         assert calls == [mesh]
         assert assembly._BUILD.get() is None
 
+    def test_two_field_build_shares_maps_and_free_dofs(self, monkeypatch):
+        # five forms on two spaces need two per-cell maps (vector val and
+        # curl) and two free-dof sets, each computed once
+        maps, frees = [], []
+        quantity, setdiff = assembly._quantity, np.setdiff1d
+
+        def counted(space, name, pts):
+            ref, cell_map = quantity(space, name, pts)
+            return ref, lambda *g: maps.append((space.kind, name)) or cell_map(*g)
+        monkeypatch.setattr(assembly, "_quantity", counted)
+        monkeypatch.setattr(np, "setdiff1d",
+                            lambda *a, **k: frees.append(1) or setdiff(*a, **k))
+        build_pencil(build_structured_cube(2), FormulationSpec(
+            kind="ls3d_twofield_nodal", elements_v="p1", gauge="none"))
+        assert sorted(maps) == [("vector", "curl"), ("vector", "val")]
+        assert len(frees) == 2
+
     def test_nothing_left_after_build(self):
         m = build_structured_square(3)
         fields = {f.name for f in dataclasses.fields(m)}

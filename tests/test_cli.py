@@ -92,6 +92,18 @@ class TestSolveCommand:
         assert rc == 2
 
 
+    def test_3d_kind_rejects_fields_it_fixes(self, tmp_path, capsys):
+        # each of these settings used to be ignored without a word
+        cfg = write(tmp_path, "cube.cfg",
+                    "domain = cube\nn = 2\nformulation = ls3d_twofield_nodal\n"
+                    "elements_v = p2\nbc = mixed_slit\ngauge = multiplier\n")
+        out = tmp_path / "s.csv"
+        rc = main(["solve", "--config", cfg, "--nev", "2", "--out", str(out)])
+        assert rc == 2
+        assert "fixes" in capsys.readouterr().err
+        assert not out.exists()
+
+
 class TestStudyCommand:
     def test_csv_report(self, tmp_path):
         cfg = write(tmp_path, "run.cfg", BASE_CFG)

@@ -102,6 +102,27 @@ class TestLs3d:
         with pytest.raises(AssemblyError):
             FormulationSpec(kind="ls3d_threefield", gauge="none")
 
+    @pytest.mark.parametrize("kw", [
+        dict(kind="ls3d_twofield_nodal", bc="mixed_slit"),
+        dict(kind="ls3d_twofield_nodal", elements_v="p2"),
+        dict(kind="ls3d_twofield_nodal", elements_q="p2"),
+        dict(kind="ls3d_twofield_nodal", elements_q="ned0"),
+        dict(kind="ls3d_threefield", elements_q="ned0", bc="mixed_slit"),
+        dict(kind="ls3d_threefield", elements_v="p1", elements_q="ned0"),
+    ])
+    def test_fixed_fields_reject_other_values(self, kw):
+        with pytest.raises(AssemblyError, match="fixes"):
+            FormulationSpec(**kw)
+
+    def test_fixed_fields_accept_the_defaults(self):
+        m = build_structured_cube(2)
+        plain = ls_maxwell_3d_twofield_nodal(m, FormulationSpec(
+            kind="ls3d_twofield_nodal"))
+        fixed = ls_maxwell_3d_twofield_nodal(m, FormulationSpec(
+            kind="ls3d_twofield_nodal", elements_v="p1", elements_q="p1",
+            gauge="none"))
+        assert (plain.K != fixed.K).nnz == 0 and (plain.M != fixed.M).nnz == 0
+
     def test_twofield_n4(self):
         m = build_structured_cube(4)
         pen = ls_maxwell_3d_twofield_nodal(m, FormulationSpec(
@@ -401,6 +422,8 @@ _GOLDEN = {
             "Cfull": ((730, 730), 15451, 12761.725571460036, 1130.5609302104344),
             "D": ((316, 604), 4754, 268.0, -1.567656765676574),
             "G": ((604, 125), 3737, 430.0986037685938, -0.43688429973057596),
+            # +1 and -1 at the two ends of each of the 604 edges
+            "Gd": ((604, 125), 1208, 1208.0, 2.7920792079208017),
             "mean_row": ((1, 125), 125, 31.00627668029981, 46.50737302547694),
         },
     },

@@ -6,6 +6,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.sparse.linalg import splu
 
 from lsmaxwell import pencil as pencilmod
 from lsmaxwell.assembly import CoefficientField
@@ -138,16 +139,66 @@ def test_meta_reports_the_solve(path):
         assert key in sol.meta, key
     meta = sol.meta
     assert meta["path"] == path
-    C = pen.blocks["Cfull"]
+    # the plain C block is factored; the mean row is not
+    C = pen.blocks["C"]
     assert meta["rho"] == pytest.approx(1e-12 * np.abs(C.data).max(), rel=1e-15)
     assert meta["refinement_steps"] == 1
     assert (meta["size_A"], meta["size_C"]) == (pen.blocks["A"].shape[0], C.shape[0])
-    assert meta["size_A"] + meta["size_C"] == pen.size
+    assert meta["size_A"] + meta["size_C"] + 1 == pen.size
     assert meta["lu_nnz_A"] > 0 and meta["lu_nnz_C"] > 0
     assert meta["op_applies"] > 0
     assert meta["lanczos_k"] >= 6
     if path == "sparse":
         assert meta["lanczos_k"] < meta["lanczos_ncv"] <= meta["size_A"]
+
+
+GAUGED = ("ls2d-edge", "ls3d-threefield", "ls3d-threefield-tagged")
+
+
+@pytest.mark.parametrize("name", GAUGED)
+def test_gauge_rows_leave_r_unchanged(name):
+    # B^T annihilates ker(C) (gradients; constants in 2D), so bordering C
+    # with the gauge rows changes neither R nor the spectrum
+    mesh, spec, _ = CASES[name]
+    pen = build_pencil(mesh, spec)
+    B, C = pen.blocks["B"], pen.blocks["C"].tocsc()
+    Bfull, Cfull = pen.blocks["Bfull"], pen.blocks["Cfull"].tocsc()
+    csolve, _, _ = pencilmod._refined_solver(C)
+    full_lu = splu(Cfull)
+    V = np.random.default_rng(1).standard_normal((B.shape[1], 3))
+    R_plain = B.T @ csolve(B @ V)
+    R_full = Bfull.T @ full_lu.solve(Bfull @ V)
+    assert np.abs(R_plain - R_full).max() <= 1e-12 * np.abs(R_full).max()
+
+
+@pytest.mark.parametrize("name", GAUGED)
+def test_recovered_potentials_satisfy_the_gauge(name, path):
+    mesh, spec, nev = CASES[name]
+    pen = build_pencil(mesh, spec)
+    sol = schur_eigs(pen, nev=nev)
+    P = sol.vectors["p"]
+    assert not sol.vectors["lm"].any()
+    if "w" in pen.ranges:
+        assert not sol.vectors["w"].any()
+        GtP = pen.blocks["G"].T @ P
+        assert (np.linalg.norm(GtP, axis=0)
+                <= 1e-12 * np.linalg.norm(P, axis=0)).all()
+    else:
+        m = pen.blocks["mean_row"].toarray().ravel()
+        assert (np.abs(m @ P)
+                <= 1e-12 * np.linalg.norm(m) * np.linalg.norm(P, axis=0)).all()
+
+
+@pytest.mark.parametrize("mesh,spec", [
+    (build_structured_cube(3), FormulationSpec(kind="ls3d_threefield",
+                                               elements_q="ned0")),
+    (build_structured_square(8), FormulationSpec(kind="ls2d"))])
+def test_no_bordered_factor(mesh, spec, path):
+    pen = build_pencil(mesh, spec)
+    sol = schur_eigs(pen, nev=5)
+    assert sol.meta["size_C"] == pen.blocks["C"].shape[0]
+    _, bordered, _ = pencilmod._refined_solver(pen.blocks["Cfull"].tocsc())
+    assert sol.meta["lu_nnz_C"] < pencilmod._lu_nnz(bordered)
 
 
 def test_missing_blocks_rejected():
