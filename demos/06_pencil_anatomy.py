@@ -5,13 +5,14 @@ bordered row fixing the weighted mean of the potential) and M nonzero only
 in its (u-rows x p-columns) block, where D = -B^T.  Because M is singular
 the pencil carries eigenvalues at infinity; with the mean row removed it
 even carries a 0 = lambda * 0 direction.  Everything is small enough here
-to cross-check against the dense QZ oracle and the symmetric Schur route.
+to cross-check the solver, schur_eigs, against the dense QZ oracle and the
+dense Schur reduction.
 """
 
 import numpy as np
 
 from lsmaxwell import (FormulationSpec, build_structured_square, dense_qz,
-                       ls_maxwell_2d, schur_reduce, shift_invert_eigs)
+                       ls_maxwell_2d, schur_eigs, schur_reduce)
 
 mesh = build_structured_square(3)
 pen = ls_maxwell_2d(mesh, FormulationSpec(kind="ls2d", elements_v="p1"))
@@ -21,13 +22,13 @@ B, D = pen.blocks["B"], pen.blocks["D"]
 print("max |D + B^T|  =", np.abs((D + B.T).toarray()).max())
 print("max |K - K^T|  =", np.abs((pen.K - pen.K.T).toarray()).max())
 
-sol = shift_invert_eigs(pen, nev=6)
+sol = schur_eigs(pen, nev=6)
 qz = dense_qz(pen.K, pen.M)
 sch, _ = schur_reduce(pen)
-print("\nshift-invert:", np.round(sol.eigenvalues[:6], 6))
+print("\nschur_eigs  :", np.round(sol.eigenvalues[:6], 6))
 print("dense QZ    :", np.round(qz.finite[:6], 6),
       f"({qz.num_infinite} infinite modes)")
-print("Schur route :", np.round(np.sort(sch)[:6], 6))
+print("schur_reduce:", np.round(np.sort(sch)[:6], 6))
 
 print("\nwithout the mean-value row the pencil becomes singular:")
 nog = ls_maxwell_2d(mesh, FormulationSpec(kind="ls2d", elements_v="p1",

@@ -16,10 +16,8 @@ import numpy as np
 from . import mesh as meshmod
 from .formulations import FormulationSpec, build_pencil
 # shift_invert_eigs stays bound here: the benchmark's tracer wraps it by name
-from .pencil import (BlockPencil, PencilError, SymmetricPencil, schur_eigs,
-                     shift_invert_eigs, solve_symmetric)
-
-NEAR_ZERO_DROP = 1e-8
+from .pencil import (BlockPencil, PencilError, schur_eigs, shift_invert_eigs,
+                     solve_symmetric)
 
 # reference eigenvalues of the L-shaped and cracked-square benchmarks
 LSHAPE_REFERENCE = (1.47562, 3.53403, 9.86960, 9.86960, 11.38948)
@@ -158,25 +156,19 @@ def build_domain_mesh(config, n):
 
 def solve_spectrum(mesh, spec, nev, seed=0):
     """Solve one formulation on one mesh; returns the ``nev`` smallest
-    physical eigenvalues, ascending.
+    physical eigenvalues, ascending, and the :class:`EigenSolution` of a
+    block pencil (None for a symmetric one).
 
     Block pencils go through the symmetric Schur reduction
-    (:func:`schur_eigs`); symmetric pencils through shift-invert Lanczos (or
-    the deflated route when a kernel basis is attached), followed by the
-    near-zero drop when the formulation produces meaningless zero modes.
+    (:func:`schur_eigs`); the symmetric reference pencils through
+    :func:`solve_symmetric`, which deflates their kernel basis, so no zero
+    eigenvalue is returned.  Too few eigenpairs raise :class:`PencilError`.
     """
     pencil = build_pencil(mesh, spec)
     if isinstance(pencil, BlockPencil):
         sol = schur_eigs(pencil, nev=nev, seed=seed)
         return sol.eigenvalues[:nev], sol
-    assert isinstance(pencil, SymmetricPencil)
-    pad = 3 if pencil.drop_near_zero else 0
-    lam = solve_symmetric(pencil, nev=nev + pad, seed=seed)
-    if pencil.drop_near_zero and len(lam):
-        lam = lam[np.abs(lam) > NEAR_ZERO_DROP * max(np.abs(lam).max(), 1.0)]
-    if len(lam) < nev:
-        raise PencilError(f"only {len(lam)} eigenvalues after the near-zero drop")
-    return lam[:nev], None
+    return solve_symmetric(pencil, nev=nev, seed=seed), None
 
 
 def run_study(config):

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, fields
 
+import numpy as np
 import scipy.sparse as sparse
 
 from . import mesh as meshmod
@@ -31,9 +32,10 @@ class FormulationSpec:
     ``elements_v`` is 'ned0' or a nodal degree 'p1'/'p2' (vector-valued);
     ``elements_q`` is nodal in 2D and 'ned0' for the 3D three-field system.
     ``gauge`` selects the mean-value multiplier ('multiplier') or drops the
-    constraint ('none').  The 3D least-squares kinds fix their elements,
-    gauge and bc (``_LS_KINDS``); a spec for one of them leaves such a
-    field at its default or gives it the fixed value, else it is rejected.
+    constraint ('none').  The 3D least-squares kinds and the reference kinds
+    fix some fields (``_FIXED_FIELDS``); a spec for one of them leaves such
+    a field at its default (for ``coeff``: all values 1) or gives it the
+    fixed value, else it is rejected.
     """
 
     kind: str = "ls2d"
@@ -46,9 +48,10 @@ class FormulationSpec:
     def __post_init__(self):
         if self.kind not in KINDS:
             raise AssemblyError(f"unknown formulation kind {self.kind!r}")
-        fixed = _LS_KINDS.get(self.kind, (None,) * 5)[1:]
-        for name, value in zip(("elements_v", "elements_q", "gauge", "bc"), fixed):
+        for name, value in zip(_FIXABLE, _FIXED_FIELDS[self.kind]):
             want, got = value and value.removeprefix("vector_"), getattr(self, name)
+            if name == "coeff" and set(got.eps.values()) | set(got.mu.values()) == {1.0}:
+                continue
             if want is not None and got not in (want, _SPEC_DEFAULTS[name]):
                 raise AssemblyError(f"{self.kind} fixes {name} = {want!r}, got {got!r}")
         if self.bc not in ("standard", "mixed_slit"):
@@ -56,6 +59,7 @@ class FormulationSpec:
 
 
 _SPEC_DEFAULTS = {f.name: f.default for f in fields(FormulationSpec)}
+_FIXABLE = ("elements_v", "elements_q", "gauge", "bc", "coeff")
 
 
 def _zeros(nr, nc):
@@ -89,6 +93,13 @@ _LS_KINDS = {
     "ls2d": (2, None, None, None, None),
     "ls3d_threefield": (3, "ned0", "ned0", "multiplier", "standard"),
     "ls3d_twofield_nodal": (3, "vector_p1", "vector_p1", "none", "standard"),
+}
+# kind -> the values it fixes of the _FIXABLE fields, None where it reads
+# the spec: the rows of _LS_KINDS, and the reference kinds, which read only
+# bc (Galerkin) or coeff (curl-curl)
+_FIXED_FIELDS = {kind: row[1:] + (None,) for kind, row in _LS_KINDS.items()} | {
+    "galerkin_laplace": ("p1", "p1", "none", None, "unit"),
+    "curlcurl_edge": ("ned0", "p1", "none", "standard", None),
 }
 
 
@@ -200,23 +211,19 @@ def galerkin_laplace(mesh, bc="standard"):
     """Standard Galerkin pencil (stiffness, mass) for the Laplace
     eigenproblem on nodal P1.
 
-    ``bc='standard'`` is the pure Neumann problem, whose zero eigenvalue
-    (the constant) is marked for dropping downstream; ``bc='mixed_slit'``
+    ``bc='standard'`` is the pure Neumann problem, whose kernel (the
+    constants) is attached as the kernel basis; ``bc='mixed_slit'``
     imposes the Dirichlet condition on the slit tags only.
     """
-    if bc == "mixed_slit":
-        constraint = ("scalar_zero", _slit_tags(mesh))
-        drop = False
-    else:
-        constraint = None
-        drop = True
+    constraint = ("scalar_zero", _slit_tags(mesh)) if bc == "mixed_slit" else None
     with _per_build(mesh):
         P = build_space(mesh, "p1", constraint)
         K = assemble("stiffness_laplace", P, P)
         Mm = assemble("mass_scalar", P, P)
     K, pf, _ = eliminate_constraints(K, P, P)
     Mm, _, _ = eliminate_constraints(Mm, P, P)
-    return SymmetricPencil(K, Mm, drop_near_zero=drop, space=(P, pf),
+    ones = None if constraint else sparse.csr_matrix(np.ones((len(pf), 1)))
+    return SymmetricPencil(K, Mm, kernel_basis=ones, space=(P, pf),
                            flags={"kind": "galerkin_laplace", "bc": bc})
 
 
@@ -224,9 +231,8 @@ def curlcurl_edge(mesh, coeff=None):
     """Reference curl-curl pencil ((1/mu rot u, rot v), (eps u, v)) on edge
     elements with the tangential boundary condition.
 
-    The discrete-gradient kernel basis is attached so solvers can deflate
-    the zero modes; any near-zero eigenvalues that still appear are dropped
-    by the study layer.
+    The discrete gradients of the interior nodal functions span the
+    kernel and are attached as the kernel basis, which the solver deflates.
     """
     if mesh.dim != 2:
         raise AssemblyError("curlcurl_edge is used as a 2D reference")
@@ -241,8 +247,8 @@ def curlcurl_edge(mesh, coeff=None):
     Mm, _, _ = eliminate_constraints(Mm, V, V)
     G = discrete_gradient(V, P)
     Gred = G[vf][:, P.free_dofs()].tocsr()
-    return SymmetricPencil(S, Mm, kernel_basis=Gred, drop_near_zero=True,
-                           space=(V, vf), flags={"kind": "curlcurl_edge"})
+    return SymmetricPencil(S, Mm, kernel_basis=Gred, space=(V, vf),
+                           flags={"kind": "curlcurl_edge"})
 
 
 def build_pencil(mesh, spec):

@@ -1,10 +1,11 @@
 """Degenerate generalized eigenvalue pencils K z = lambda M z with singular M.
 
-Sparse LU factorization; the production solver for least-squares block
-pencils, which eliminates the potential and solves the symmetric reduction
-A u = (lambda + 1) B^T C^+ B u; and the oracles it is checked against:
-shift-invert Arnoldi on (K, M) with filtering of infinite and degenerate
-modes, dense QZ, and the dense Schur-complement reduction.
+Sparse LU factorization; the production solvers, for least-squares block
+pencils (the symmetric reduction A u = (lambda + 1) B^T C^+ B u) and for
+symmetric pencils with a known kernel (deflated shift-invert Lanczos); and
+the oracles the block solver is checked against: shift-invert Arnoldi on
+(K, M) with filtering of infinite and degenerate modes, dense QZ, and the
+dense Schur-complement reduction.
 """
 
 from __future__ import annotations
@@ -21,6 +22,8 @@ FINITE_CUTOFF = 1e6
 RESIDUAL_TOL = 1e-8
 P_ZERO_TOL = 1e-10
 _DENSE_SOLVE_LIMIT = 60
+# shift of the symmetric pencils' Lanczos, below their nonnegative spectrum
+SYMMETRIC_SHIFT = -0.1
 _REG_SCALE = 1e-12
 # Schur route: mu = 1/(1 + lambda) at or below this times the largest mu is
 # an infinite mode; blocks A up to this size are solved densely
@@ -76,18 +79,18 @@ class BlockPencil:
 
 @dataclass
 class SymmetricPencil:
-    """Plain symmetric pencil (K, M) with positive-definite M.
+    """Plain symmetric pencil (K, M) with positive-semidefinite K and
+    positive-definite M.
 
-    ``kernel_basis`` optionally spans a known exact kernel of K (discrete
-    gradients for the curl-curl operator); solvers use it to deflate the
-    zero modes.  ``drop_near_zero`` marks spectra whose leading zero
-    eigenvalues are meaningless and should be dropped downstream.
+    ``kernel_basis``, when given, spans the whole kernel of K (discrete
+    gradients for the curl-curl operator, the constants for the Neumann
+    Laplacian); :func:`solve_symmetric` projects it out, so only nonzero
+    eigenvalues are returned.  Without it K must be nonsingular.
     """
 
     K: sparse.csr_matrix
     M: sparse.csr_matrix
     kernel_basis: sparse.csr_matrix | None = None
-    drop_near_zero: bool = False
     space: object = None
     flags: dict = field(default_factory=dict)
 
@@ -643,51 +646,45 @@ def coercivity_check(pencil):
     return True
 
 
-def deflated_pencil(sym):
-    """Turn a symmetric pencil with a known kernel basis G into a bordered
-    degenerate pencil whose finite spectrum is the nonzero spectrum.
+def solve_symmetric(sym, nev=10, seed=0):
+    """The ``nev`` smallest eigenvalues, ascending, of a symmetric pencil
+    without its kernel ``range(kernel_basis)``.
 
-    The border enforces M-orthogonality to range(G): K_b = [[K, M G],
-    [G^T M, 0]], M_b = [[M, 0], [0, 0]].
+    Shift-invert Lanczos on K - sigma M, sigma = SYMMETRIC_SHIFT, factored
+    once.  The kernel basis G is deflated as in Arbenz and Geus (Appl.
+    Numer. Math. 2005) by the M-orthogonal projection P x = x - G (G^T M
+    G)^{-1} G^T M x: the operator is P (K - sigma M)^{-1} P^T, where P^T
+    keeps kernel roundoff from being amplified.  Small pencils go to dense
+    ``eigh``, which drops exactly ``kernel_basis.shape[1]`` values.
     """
-    if sym.kernel_basis is None:
-        raise PencilError("symmetric pencil has no kernel basis to deflate")
-    G = sym.kernel_basis
-    if G.shape[0] != sym.size:
-        raise PencilError("kernel basis row count does not match the pencil")
-    W = (sym.M @ G).tocsr()
-    n, m = sym.size, W.shape[1]
-    Kb = sparse.bmat([[sym.K, W], [W.T, None]], format="csr")
-    Mb = sparse.bmat(
-        [[sym.M, sparse.csr_matrix((n, m))],
-         [sparse.csr_matrix((m, n)), sparse.csr_matrix((m, m))]], format="csr")
-    ranges = {"u": slice(0, n), "lm": slice(n, n + m)}
-    return BlockPencil(Kb, Mb, ranges, primary="u", flags={"deflated": True})
+    G, K, M = sym.kernel_basis, sym.K, sym.M
+    n, nker = sym.size, 0 if G is None else G.shape[1]
+    if n - nker < nev:
+        raise PencilError(f"only {n - nker} nonzero eigenvalues exist "
+                          f"(requested {nev})")
+    if n <= max(_DENSE_SOLVE_LIMIT, nker + nev + 2):
+        lam = scipy.linalg.eigh(K.toarray(), M.toarray(), eigvals_only=True)
+        return lam[nker:nker + nev]
+    # both SPD; the absolute condition probe would fail by units alone
+    handle = factorize(K - SYMMETRIC_SHIFT * M, probe=False)
+    solve = handle.solve
+    if G is not None:
+        MG = (M @ G).tocsc()
+        gram = factorize(G.T @ MG, probe=False)
 
-
-def solve_symmetric(sym, nev=10, sigma=None, seed=0, tol=0):
-    """Smallest eigenvalues of a symmetric pencil with SPD mass matrix.
-
-    Uses generalized shift-invert Lanczos; a pencil carrying a kernel basis
-    is solved through :func:`deflated_pencil` instead so the zero modes
-    never enter the Krylov space.  Returns ascending eigenvalues.
-    """
-    if sym.kernel_basis is not None:
-        defl = deflated_pencil(sym)
-        sol = shift_invert_eigs(defl, sigma=0.0, nev=nev, seed=seed)
-        return sol.eigenvalues
-    if sigma is None:
-        sigma = -0.1
-    n = sym.size
-    k = min(nev, n - 1)
-    if n <= max(k + 2, _DENSE_SOLVE_LIMIT):
-        lam = scipy.linalg.eigh(sym.K.toarray(), sym.M.toarray(),
-                                eigvals_only=True)
-        return np.sort(lam)[:nev]
-    rng = np.random.default_rng(seed)
-    v0 = rng.standard_normal(n)
-    lam = spla.eigsh(sym.K, k=k, M=sym.M, sigma=sigma, which="LM",
-                     v0=v0, tol=tol, return_eigenvectors=False)
+        def solve(b):
+            x = handle.solve(b - MG @ gram.solve(G.T @ b))
+            return x - G @ gram.solve(MG.T @ x)
+    v0 = np.random.default_rng(seed).standard_normal(n)
+    try:
+        lam = spla.eigsh(K, k=nev, M=M, sigma=SYMMETRIC_SHIFT, v0=v0,
+                         OPinv=spla.LinearOperator((n, n), matvec=solve,
+                                                   dtype=float),
+                         ncv=min(n - nker, max(2 * nev + 1, 20)),
+                         return_eigenvectors=False)
+    except spla.ArpackNoConvergence as e:
+        raise PencilError(f"Lanczos did not converge; {len(e.eigenvalues)} "
+                          f"of {nev} Ritz pairs converged") from e
     return np.sort(lam)
 
 

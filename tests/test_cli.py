@@ -93,14 +93,32 @@ class TestSolveCommand:
 
 
     def test_3d_kind_rejects_fields_it_fixes(self, tmp_path, capsys):
-        # each of these settings used to be ignored without a word
-        cfg = write(tmp_path, "cube.cfg",
-                    "domain = cube\nn = 2\nformulation = ls3d_twofield_nodal\n"
-                    "elements_v = p2\nbc = mixed_slit\ngauge = multiplier\n")
+        # each of these settings used to be ignored without a word; the
+        # reference kinds fix fields too
+        for text in (
+                "domain = cube\nn = 2\nformulation = ls3d_twofield_nodal\n"
+                "elements_v = p2\nbc = mixed_slit\ngauge = multiplier\n",
+                "domain = slit\nn = 2\nformulation = galerkin_laplace\n"
+                "elements_v = p2\ngauge = none\neps_outside = 5\n",
+                "domain = slit\nn = 2\nformulation = galerkin_laplace\n"
+                "eps_outside = 5\n",
+                "domain = slit\nn = 2\nformulation = curlcurl_edge\n"
+                "bc = mixed_slit\n"):
+            cfg = write(tmp_path, "ref.cfg", text)
+            out = tmp_path / "s.csv"
+            rc = main(["solve", "--config", cfg, "--nev", "2", "--out", str(out)])
+            assert rc == 2, text
+            assert "fixes" in capsys.readouterr().err
+            assert not out.exists()
+
+    def test_too_few_modes_names_the_requested_nev(self, tmp_path, capsys):
+        # the curl-curl pencil on the n = 2 square has 7 nonzero eigenvalues
+        cfg = write(tmp_path, "cc.cfg",
+                    "domain = square\nn = 2\nformulation = curlcurl_edge\n")
         out = tmp_path / "s.csv"
-        rc = main(["solve", "--config", cfg, "--nev", "2", "--out", str(out)])
-        assert rc == 2
-        assert "fixes" in capsys.readouterr().err
+        rc = main(["solve", "--config", cfg, "--nev", "10", "--out", str(out)])
+        assert rc == 3
+        assert "(requested 10)" in capsys.readouterr().err
         assert not out.exists()
 
 

@@ -15,7 +15,9 @@ from lsmaxwell.mesh import (Mesh, boundary_facets_of, build_lshape,
                             build_slit, build_structured_cube,
                             build_structured_square, perturb_interior,
                             tag_subdomain)
-from lsmaxwell.pencil import dense_qz, shift_invert_eigs
+from lsmaxwell import pencil
+from lsmaxwell.pencil import (dense_qz, factorize, shift_invert_eigs,
+                              solve_symmetric)
 
 QUARTER = ((0.0, 0.0), (math.pi / 2, math.pi / 2))
 
@@ -109,6 +111,14 @@ class TestLs3d:
         dict(kind="ls3d_twofield_nodal", elements_q="ned0"),
         dict(kind="ls3d_threefield", elements_q="ned0", bc="mixed_slit"),
         dict(kind="ls3d_threefield", elements_v="p1", elements_q="ned0"),
+        dict(kind="galerkin_laplace", elements_v="p2"),
+        dict(kind="galerkin_laplace", elements_q="p2"),
+        dict(kind="galerkin_laplace", coeff=CoefficientField(
+            eps={0: 1.0, 1: 5.0}, mu={0: 1.0, 1: 1.0})),
+        dict(kind="galerkin_laplace", coeff=CoefficientField(mu={0: 2.0})),
+        dict(kind="curlcurl_edge", bc="mixed_slit"),
+        dict(kind="curlcurl_edge", elements_v="p1"),
+        dict(kind="curlcurl_edge", elements_q="p2"),
     ])
     def test_fixed_fields_reject_other_values(self, kw):
         with pytest.raises(AssemblyError, match="fixes"):
@@ -122,6 +132,16 @@ class TestLs3d:
             kind="ls3d_twofield_nodal", elements_v="p1", elements_q="p1",
             gauge="none"))
         assert (plain.K != fixed.K).nnz == 0 and (plain.M != fixed.M).nnz == 0
+
+    def test_reference_kinds_accept_unit_coefficients(self):
+        # the CLI always passes cell tags 0 and 1
+        unit = CoefficientField(eps={0: 1.0, 1: 1.0}, mu={0: 1.0, 1: 1.0})
+        m = build_slit(2)
+        plain = build_pencil(m, FormulationSpec(kind="galerkin_laplace"))
+        fixed = build_pencil(m, FormulationSpec(
+            kind="galerkin_laplace", elements_v="p1", gauge="none", coeff=unit))
+        assert (plain.K != fixed.K).nnz == 0 and (plain.M != fixed.M).nnz == 0
+        FormulationSpec(kind="curlcurl_edge", gauge="none", coeff=JUMP)
 
     def test_twofield_n4(self):
         m = build_structured_cube(4)
@@ -162,6 +182,8 @@ class TestGalerkin:
         lam = scipy.linalg.eigh(pen.K.toarray(), pen.M.toarray(),
                                 eigvals_only=True)
         assert int((np.abs(lam) < 1e-10).sum()) == 1
+        assert pen.kernel_basis.shape[1] == 1
+        assert np.abs(pen.K @ pen.kernel_basis).max() <= 1e-14 * np.abs(pen.K).max()
 
     def test_mixed_slit_value(self):
         # converges to ~1.034 from above; discrete value at n=16 depends on
@@ -209,6 +231,42 @@ class TestCurlCurl:
     def test_requires_2d(self):
         with pytest.raises(AssemblyError):
             curlcurl_edge(build_structured_cube(1))
+
+
+SYMMETRIC_CASES = {
+    "curlcurl_eps_jump": lambda: curlcurl_edge(
+        tag_subdomain(build_structured_square(8), QUARTER, 1),
+        CoefficientField(eps={0: 100.0, 1: 1.0}, mu={0: 1.0, 1: 1.0})),
+    "curlcurl_lshape_perturbed": lambda: curlcurl_edge(
+        perturb_interior(build_lshape(4), 0.2, 1)),
+    "curlcurl_slit": lambda: curlcurl_edge(build_slit(4)),
+    "galerkin_neumann_slit": lambda: galerkin_laplace(build_slit(4)),
+    "galerkin_mixed_slit": lambda: galerkin_laplace(build_slit(4), "mixed_slit"),
+}
+
+
+class TestSymmetricSolver:
+    @pytest.mark.parametrize("path", ["dense", "sparse"])
+    @pytest.mark.parametrize("name", sorted(SYMMETRIC_CASES))
+    def test_matches_dense_eigh(self, name, path, monkeypatch):
+        pen = SYMMETRIC_CASES[name]()
+        nker = 0 if pen.kernel_basis is None else pen.kernel_basis.shape[1]
+        full = scipy.linalg.eigh(pen.K.toarray(), pen.M.toarray(),
+                                 eigvals_only=True)
+        # the kernel basis spans exactly the zero eigenvalues
+        assert np.abs(full[:nker]).max(initial=0.0) <= 1e-10 * full.max()
+        assert full[nker] > 1e-6 * full.max()
+        if nker:
+            assert np.abs(pen.K @ pen.kernel_basis).max() <= 1e-12 * np.abs(pen.K).max()
+        factored = []
+        monkeypatch.setattr(pencil, "factorize",
+                            lambda A, **kw: factored.append(A.shape) or factorize(A, **kw))
+        monkeypatch.setattr(pencil, "_DENSE_SOLVE_LIMIT",
+                            pen.size if path == "dense" else 0)
+        lam = solve_symmetric(pen, nev=8)
+        want = full[nker:nker + 8]
+        assert (np.abs(lam - want) <= 1e-9 * (1 + np.abs(want))).all()
+        assert bool(factored) == (path == "sparse")
 
 
 def _scalar_weighted_mass_eig(mesh, mu_out):
