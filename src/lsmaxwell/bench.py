@@ -167,7 +167,7 @@ def solve_spectrum(mesh, spec, nev, seed=0):
     pencil = build_pencil(mesh, spec)
     if isinstance(pencil, BlockPencil):
         sol = schur_eigs(pencil, nev=nev, seed=seed)
-        return sol.eigenvalues[:nev], sol
+        return sol.eigenvalues, sol
     return solve_symmetric(pencil, nev=nev, seed=seed), None
 
 

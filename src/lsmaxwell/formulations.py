@@ -56,14 +56,12 @@ class FormulationSpec:
                 raise AssemblyError(f"{self.kind} fixes {name} = {want!r}, got {got!r}")
         if self.bc not in ("standard", "mixed_slit"):
             raise AssemblyError(f"unknown bc mode {self.bc!r}")
+        if self.gauge not in ("multiplier", "none"):
+            raise AssemblyError(f"unknown gauge mode {self.gauge!r}")
 
 
 _SPEC_DEFAULTS = {f.name: f.default for f in fields(FormulationSpec)}
 _FIXABLE = ("elements_v", "elements_q", "gauge", "bc", "coeff")
-
-
-def _zeros(nr, nc):
-    return sparse.csr_matrix((nr, nc))
 
 
 def _vector_family(name):
@@ -103,24 +101,20 @@ _FIXED_FIELDS = {kind: row[1:] + (None,) for kind, row in _LS_KINDS.items()} | {
 }
 
 
-def _border(S, rows):
-    """[[S, rows^T], [rows, 0]]: S bordered by constraint rows."""
-    return sparse.bmat([[S, rows.T], [rows, None]], format="csr")
-
-
 def _ls_pencil(mesh, spec, kind):
     """Least-squares pencil of one of the :data:`_LS_KINDS`.
 
-    Left blocks {A, Bfull^T; Bfull, Cfull} with A = (eps u, v) + (1/mu rot
-    u, rot v), B = -(u, curl q), C = (1/eps curl p, curl q); right block D =
-    (p, rot v) with D = -B^T.  Cfull is C bordered by the gauge rows and
-    Bfull is B padded with zero rows to match.  With ``gauge='multiplier'``
-    a scalar potential has its mu-mean fixed by one row; an edge potential
-    is gauged by a nodal multiplier w through (q, grad w), and the mean of
-    w is fixed instead; ``Gd``, the discrete gradient on the free dofs,
-    maps w to gradients, which C and B^T annihilate.  ``bc='mixed_slit'``
-    constrains V on the exterior only and p on the slit instead of the
-    mean condition.
+    K = [[A, B^T], [B, C]] with A = (eps u, v) + (1/mu rot u, rot v), B =
+    -(u, curl q), C = (1/eps curl p, curl q), bordered by the gauge rows;
+    M holds only D = (p, rot v) = -B^T in the (u, p) block.  With
+    ``gauge='multiplier'`` a scalar potential has its mu-mean fixed by one
+    row; an edge potential is gauged by a nodal multiplier w through (q,
+    grad w), and the mean of w is fixed instead; ``Gd``, the discrete
+    gradient on the free dofs, maps w to gradients, which C and B^T
+    annihilate.  ``bc='mixed_slit'`` constrains V on the exterior only and
+    p on the slit instead of the mean condition.  K is formed once from
+    its lower blocks, keyed by (row field, column field), and their
+    transposes.
     """
     dim, v_family, q_family, gauge, bc = _LS_KINDS[kind]
     if mesh.dim != dim:
@@ -150,28 +144,25 @@ def _ls_pencil(mesh, spec, kind):
         blocks = {"A": A, "B": B, "C": C, "D": D}
         spaces = {"u": (V, vf), "p": (Q, qf)}
         sizes = {"u": A.shape[0], "p": C.shape[0]}
-        Cfull = C
+        lower = {("u", "u"): A, ("p", "u"): B, ("p", "p"): C}
         if gauge == "multiplier":
             if Q.kind == "edge":
                 W = build_space(mesh, "p1", None)
                 G = assemble("grad_pairing_3d", Q, W, coeff)
                 G, _, wf = eliminate_constraints(G, Q, W)
                 m = assemble("mu_mean_row", None, W, coeff)[:, wf]
-                w_mean = sparse.hstack([_zeros(1, C.shape[0]), m])
-                Cfull = _border(_border(C, G.T), w_mean)
                 blocks["G"], spaces["w"], sizes["w"] = G, (W, wf), len(wf)
                 blocks["Gd"] = discrete_gradient(Q, W)[qf][:, wf].tocsr()
+                lower[("w", "p")], lower[("lm", "w")] = G.T, m
             else:
                 m = assemble("mu_mean_row", None, Q, coeff)[:, qf]
-                Cfull = _border(C, m)
+                lower[("lm", "p")] = m
             blocks["mean_row"], sizes["lm"] = m, 1
-    nU, nC = A.shape[0], Cfull.shape[0]
-    Bfull = sparse.vstack([B, _zeros(nC - B.shape[0], nU)], format="csr")
-    blocks["Bfull"], blocks["Cfull"] = Bfull, Cfull
-    Dfull = sparse.hstack([D, _zeros(nU, nC - D.shape[1])])
-    K = sparse.bmat([[A, Bfull.T], [Bfull, Cfull]], format="csr")
-    M = sparse.bmat([[_zeros(nU, nU), Dfull], [_zeros(nC, nU), _zeros(nC, nC)]],
-                    format="csr")
+    grid = lower | {(c, r): S.T for (r, c), S in lower.items() if r != c}
+    K = sparse.bmat([[grid.get((r, c)) for c in sizes] for r in sizes], format="csr")
+    D_coo = D.tocoo()
+    M = sparse.csr_matrix((D_coo.data, (D_coo.row, D_coo.col + sizes["u"])),
+                          shape=K.shape)
     ranges, start = {}, 0
     for name, size in sizes.items():
         ranges[name] = slice(start, start + size)

@@ -56,9 +56,9 @@ class BlockPencil:
     e.g. {'u': ..., 'p': ..., 'w': ..., 'lm': ...}.  ``primary`` names the
     block through which M acts on the eigenvector; it must not vanish for
     a pair to count as an eigensolution.  ``blocks`` optionally keeps the
-    constituent matrices ('A', 'B', 'C', 'D', 'Bfull', 'Cfull', and the
-    gauge blocks 'mean_row', 'G', 'Gd') for validation and the Schur
-    reduction.
+    matrices K and M were formed from ('A', 'B', 'C', 'D', and the gauge
+    blocks 'mean_row', 'G', 'Gd') for validation and the Schur reduction;
+    the bordered blocks are the slices of K past ``ranges['u']``.
     """
 
     K: sparse.csr_matrix
@@ -123,56 +123,50 @@ class EigenSolution:
 
 
 def validate_pencil(pencil, tol=1e-13):
-    """Construction-time structure checks.
+    """Construction-time structure checks on the blocks K and M are formed
+    from, whose off-diagonal symmetry holds by construction.
 
-    Verifies that M is nonzero only in the (u-rows x p-columns) block, that
-    D equals -B^T up to quadrature roundoff, and that negating the
-    off-diagonal blocks of K leaves a symmetric matrix.
+    Verifies that D spans the (u-rows x p-columns) block, that D equals
+    -B^T up to quadrature roundoff, and that A and C are symmetric to
+    1e-14 max|K|.
     """
-    K, M = pencil.K, pencil.M
-    scale = max(np.abs(K.data).max() if K.nnz else 1.0, 1.0)
+    blocks = pencil.blocks
     u, p = pencil.ranges["u"], pencil.ranges["p"]
-    coo = M.tocoo()
-    outside = ((coo.row < u.start) | (coo.row >= u.stop)
-               | (coo.col < p.start) | (coo.col >= p.stop))
-    if coo.nnz and np.abs(coo.data[outside]).max(initial=0.0) > 0:
-        raise PencilError("M has entries outside the (u, p) block")
-    if "B" in pencil.blocks and "D" in pencil.blocks:
-        B, D = pencil.blocks["B"], pencil.blocks["D"]
+    if "D" in blocks and blocks["D"].shape != (u.stop - u.start, p.stop - p.start):
+        raise PencilError("D does not match the (u, p) block")
+    if "B" in blocks and "D" in blocks:
+        B, D = blocks["B"], blocks["D"]
         diff = (D + B.T).tocoo()
         dscale = max(np.abs(B.data).max() if B.nnz else 1.0, 1.0)
         if diff.nnz and np.abs(diff.data).max() > tol * dscale:
             raise PencilError("D != -B^T beyond roundoff")
-    S = _negate_off_diagonal(K, list(pencil.ranges.values()))
-    asym = (S - S.T).tocoo()
-    if asym.nnz and np.abs(asym.data).max() > 1e-14 * scale:
-        raise PencilError("off-diagonal-negated K is not symmetric")
+    K = pencil.K
+    scale = max(np.abs(K.data).max() if K.nnz else 1.0, 1.0)
+    for name in ("A", "C"):
+        if name in blocks:
+            asym = (blocks[name] - blocks[name].T).tocoo()
+            if asym.nnz and np.abs(asym.data).max() > 1e-14 * scale:
+                raise PencilError(f"{name} is not symmetric")
     return pencil
 
 
-def _negate_off_diagonal(K, slices):
-    coo = K.tocoo()
-    block_of = np.full(K.shape[0], -1, dtype=np.int64)
-    for b, sl in enumerate(slices):
-        block_of[sl] = b
-    sign = np.where(block_of[coo.row] == block_of[coo.col], 1.0, -1.0)
-    return sparse.coo_matrix((coo.data * sign, (coo.row, coo.col)),
-                             shape=K.shape).tocsr()
+# factorize: pivot ratios at or below the floor, and condition estimates
+# above the limit, are singular
+_PIVOT_FLOOR = 1e-13
+_COND_LIMIT = 1e12
 
 
 class Factorization:
-    """Sparse LU handle for K x = b solves with a singularity probe."""
+    """Sparse LU handle for K x = b solves."""
 
-    def __init__(self, K, _lu, pivot_min_ratio):
-        self.shape = K.shape
+    def __init__(self, _lu):
         self._lu = _lu
-        self.pivot_min_ratio = pivot_min_ratio
 
     def solve(self, b):
         return self._lu.solve(b)
 
 
-def factorize(K, pivot_floor=1e-13, probe=True, cond_limit=1e12):
+def factorize(K, probe=True):
     """LU-factorize a square sparse matrix.
 
     Raises :class:`SingularMatrixError` (carrying the offending pivot
@@ -190,18 +184,18 @@ def factorize(K, pivot_floor=1e-13, probe=True, cond_limit=1e12):
     du = np.abs(lu.U.diagonal())
     dmax = du.max() if len(du) else 1.0
     ratio = float(du.min() / dmax) if len(du) else 1.0
-    if ratio <= pivot_floor:
+    if ratio <= _PIVOT_FLOOR:
         raise SingularMatrixError(
             f"numerically singular: pivot ratio {ratio:.2e}",
             pivot=int(np.argmin(du)))
-    handle = Factorization(K, lu, ratio)
+    handle = Factorization(lu)
     if probe and K.shape[0] > 0:
         rng = np.random.default_rng(12345)
         r = rng.standard_normal(K.shape[0])
         x = handle.solve(r)
         scale = np.abs(K.data).max() if K.nnz else 1.0
         cond_est = np.linalg.norm(x) / max(np.linalg.norm(r), 1e-300) * scale
-        if not np.isfinite(cond_est) or cond_est > cond_limit:
+        if not np.isfinite(cond_est) or cond_est > _COND_LIMIT:
             raise SingularMatrixError(
                 f"numerically singular: condition estimate {cond_est:.2e}",
                 pivot=int(np.argmin(du)))
@@ -438,7 +432,7 @@ def schur_eigs(pencil, nev=10, seed=0):
     R applied as an operator.  The potential is recovered as p = -C^+ B u
     and moved onto the gauge by :func:`_fix_gauge`; every pair still passes
     :func:`filter_spectrum`'s residual gate on K and M, without the
-    absolute finite cutoff.
+    absolute finite cutoff, and the ``nev`` smallest are returned.
 
     ``meta`` records ``path`` ('dense' or 'sparse'), the shift ``rho`` and
     ``refinement_steps`` of the C solves, the block sizes ``size_A`` and
@@ -498,6 +492,8 @@ def schur_eigs(pencil, nev=10, seed=0):
         raise PencilError(
             f"only {len(sol.eigenvalues)} finite eigenpairs passed filtering "
             f"(requested {nev}); residuals: {sol.residuals}")
+    sol.eigenvalues, sol.residuals = sol.eigenvalues[:nev], sol.residuals[:nev]
+    sol.vectors = {name: Z[:, :nev] for name, Z in sol.vectors.items()}
     sol.meta.update(meta)
     return sol
 
@@ -579,19 +575,16 @@ def dense_qz(K, M, infinite_tol=1e-12):
 
 def schur_reduce(pencil):
     """Finite spectrum via the symmetric reduction A x = (lambda+1) R x with
-    R = B^T C^{-1} B (borders folded into B and C).
+    R = B^T C^{-1} B, where B and C are the bordered blocks of K below and
+    right of ``ranges['u']``.
 
     Returns (eigenvalues after the -1 shift, dense symmetric R).  Dense
     validation path; requires the bordered C block to be invertible.
     """
     if pencil.size > DENSE_LIMIT:
         raise PencilError(f"schur_reduce limited to dimension {DENSE_LIMIT}")
-    for name in ("A", "Bfull", "Cfull"):
-        if name not in pencil.blocks:
-            raise PencilError("pencil carries no Schur blocks")
-    A = pencil.blocks["A"].toarray()
-    B = pencil.blocks["Bfull"].toarray()
-    C = pencil.blocks["Cfull"].toarray()
+    nU, Kd = pencil.ranges["u"].stop, pencil.K.toarray()
+    A, B, C = Kd[:nU, :nU], Kd[nU:, :nU], Kd[nU:, nU:]
     lu, piv = scipy.linalg.lu_factor(C)
     du = np.abs(np.diag(lu))
     if du.min() <= 1e-12 * max(du.max(), 1e-300):

@@ -73,7 +73,8 @@ class TestSolveCommand:
         assert rc == 0
         lines = open(out).read().strip().splitlines()
         assert lines[0] == "index,lambda,residual"
-        assert len(lines) >= 4
+        # exactly nev rows; the least-squares solve used to write nev + 2
+        assert len(lines) == 4
         lam1 = float(lines[1].split(",")[1])
         assert 1.0 < lam1 < 2.5
         assert (tmp_path / "spec.csv.discards.txt").exists()
@@ -110,6 +111,14 @@ class TestSolveCommand:
             assert rc == 2, text
             assert "fixes" in capsys.readouterr().err
             assert not out.exists()
+
+    def test_unknown_gauge_exits_2(self, tmp_path, capsys):
+        # it used to be solved as gauge = none
+        cfg = write(tmp_path, "g.cfg", "domain = square\nn = 4\ngauge = bogus\n")
+        out = tmp_path / "s.csv"
+        assert main(["solve", "--config", cfg, "--nev", "3", "--out", str(out)]) == 2
+        assert "unknown gauge mode" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_too_few_modes_names_the_requested_nev(self, tmp_path, capsys):
         # the curl-curl pencil on the n = 2 square has 7 nonzero eigenvalues

@@ -73,6 +73,11 @@ class TestLs2d:
         Q, _ = pen.spaces["p"]
         assert len(Q.constrained) == 2 * 4 + 1
 
+    def test_unknown_gauge_rejected(self):
+        # it used to be built as gauge = 'none' and flagged nonsingular
+        with pytest.raises(AssemblyError, match="unknown gauge mode 'bogus'"):
+            FormulationSpec(kind="ls2d", gauge="bogus")
+
     def test_wrong_dimension(self):
         mc = build_structured_cube(1)
         with pytest.raises(AssemblyError):
@@ -322,7 +327,8 @@ class TestConsistency:
 # Fingerprints of the least-squares pencils on ten configurations, frozen
 # from the three separate builders that preceded the shared block builder:
 # shape, nnz, sum of |entries| and one position-weighted sum per matrix.
-# A refactoring of the builders must reproduce them to roundoff.
+# A refactoring of the builders must reproduce them to roundoff.  "Bfull"
+# and "Cfull" are the bordered blocks of K below and right of the u range.
 JUMP = CoefficientField(eps={0: 1.0, 1: 2.5}, mu={0: 1.0, 1: 0.5})
 GOLDEN_CONFIGS = {
     "ls2d_ned0": (ls_maxwell_2d, lambda: build_structured_square(4), {}),
@@ -527,6 +533,8 @@ class TestGoldenPencils:
                 for k, (sp, free) in pen.spaces.items()} == want["spaces"]
         assert _same_fingerprint(_fingerprint(pen.K), want["K"])
         assert _same_fingerprint(_fingerprint(pen.M), want["M"])
-        assert sorted(pen.blocks) == sorted(want["blocks"])
+        nU = pen.ranges["u"].stop
+        got = dict(pen.blocks, Bfull=pen.K[nU:, :nU], Cfull=pen.K[nU:, nU:])
+        assert sorted(got) == sorted(want["blocks"])
         for k, fp in want["blocks"].items():
-            assert _same_fingerprint(_fingerprint(pen.blocks[k]), fp), k
+            assert _same_fingerprint(_fingerprint(got[k]), fp), k

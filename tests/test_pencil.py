@@ -224,6 +224,27 @@ class TestStructure:
         with pytest.raises(PencilError):
             validate_pencil(bad)
 
+    @pytest.mark.parametrize("name", ["A", "C"])
+    def test_validate_rejects_asymmetric_diagonal_block(self, name):
+        # K is formed from the blocks, so an asymmetric A or C is only
+        # seen on the block itself
+        pen = ls_maxwell_2d(build_structured_square(2), FormulationSpec(kind="ls2d"))
+        S = pen.blocks[name].tolil()
+        S[0, 1] += 1e-10 * np.abs(pen.K.data).max()
+        bad = BlockPencil(pen.K, pen.M, pen.ranges,
+                          blocks=dict(pen.blocks, **{name: S.tocsr()}))
+        with pytest.raises(PencilError, match=f"{name} is not symmetric"):
+            validate_pencil(bad)
+
+    def test_validate_rejects_d_off_the_ranges(self):
+        # D = -B^T still holds, but D no longer spans the (u, p) block
+        pen = ls_maxwell_2d(build_structured_square(2), FormulationSpec(kind="ls2d"))
+        B, D = pen.blocks["B"], pen.blocks["D"]
+        bad = BlockPencil(pen.K, pen.M, pen.ranges,
+                          blocks=dict(pen.blocks, B=B[:-1], D=D[:, :-1]))
+        with pytest.raises(PencilError, match="D does not match"):
+            validate_pencil(bad)
+
     def test_coercivity_2d_configs(self):
         m = build_structured_square(4)
         for ev in ("ned0", "p1"):

@@ -66,6 +66,12 @@ def _residuals(pen, sol, lam):
                                         * np.linalg.norm(Z, axis=0))
 
 
+def _bordered(pen):
+    """The blocks Bfull and Cfull (CSC) of K below and right of the u range."""
+    nU = pen.ranges["u"].stop
+    return pen.K[nU:, :nU], pen.K[nU:, nU:].tocsc()
+
+
 def _agree(lam, ref):
     k = len(lam)
     assert len(ref) >= k
@@ -162,7 +168,7 @@ def test_gauge_rows_leave_r_unchanged(name):
     mesh, spec, _ = CASES[name]
     pen = build_pencil(mesh, spec)
     B, C = pen.blocks["B"], pen.blocks["C"].tocsc()
-    Bfull, Cfull = pen.blocks["Bfull"], pen.blocks["Cfull"].tocsc()
+    Bfull, Cfull = _bordered(pen)
     csolve, _, _ = pencilmod._refined_solver(C)
     full_lu = splu(Cfull)
     V = np.random.default_rng(1).standard_normal((B.shape[1], 3))
@@ -197,7 +203,7 @@ def test_no_bordered_factor(mesh, spec, path):
     pen = build_pencil(mesh, spec)
     sol = schur_eigs(pen, nev=5)
     assert sol.meta["size_C"] == pen.blocks["C"].shape[0]
-    _, bordered, _ = pencilmod._refined_solver(pen.blocks["Cfull"].tocsc())
+    _, bordered, _ = pencilmod._refined_solver(_bordered(pen)[1])
     assert sol.meta["lu_nnz_C"] < pencilmod._lu_nnz(bordered)
 
 
@@ -213,7 +219,7 @@ def test_refined_c_solve(gauge):
     # the ungauged C is singular; b = Bfull u lies in its range either way
     pen = build_pencil(build_structured_square(8),
                        FormulationSpec(kind="ls2d", gauge=gauge))
-    C, B = pen.blocks["Cfull"].tocsc(), pen.blocks["Bfull"]
+    B, C = _bordered(pen)
     solve, _, rho = pencilmod._refined_solver(C)
     assert rho == 1e-12 * np.abs(C.data).max()
     b = B @ np.random.default_rng(0).standard_normal(B.shape[1])
