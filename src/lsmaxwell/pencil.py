@@ -22,7 +22,8 @@ FINITE_CUTOFF = 1e6
 RESIDUAL_TOL = 1e-8
 P_ZERO_TOL = 1e-10
 _DENSE_SOLVE_LIMIT = 60
-# shift of the symmetric pencils' Lanczos, below their nonnegative spectrum
+# shift of the symmetric pencils' Lanczos, below their nonnegative spectrum,
+# for a domain of extent pi; it scales with the spectrum, as extent^-2
 SYMMETRIC_SHIFT = -0.1
 _REG_SCALE = 1e-12
 # Schur route: mu = 1/(1 + lambda) at or below this times the largest mu is
@@ -377,7 +378,9 @@ def _refined_solver(C):
     every b = B u since range(B) is orthogonal to ker(C) (curl grad = 0,
     and in 2D the curl of a constant vanishes), the refinement removes the
     O(rho) error and the kernel component of x is left arbitrary, which
-    R = B^T C^+ B does not see.
+    R = B^T C^+ B does not see.  Returns the refined solve, which costs two
+    solves on the factor, the factor's handle, whose ``solve`` is the
+    unrefined (C + rho I)^{-1}, and rho.
     """
     rho = _REG_SCALE * float(np.abs(C.data).max() if C.nnz else 1.0)
     handle = factorize(C + rho * sparse.identity(C.shape[0], format="csc"),
@@ -427,20 +430,26 @@ def schur_eigs(pencil, nev=10, seed=0):
     ker(C), so only the plain C block is factored, through
     :func:`_refined_solver`.  The infinite modes sit at mu = 0 (pairs with
     mu <= MU_INFINITE * max mu), so the largest mu are the wanted pairs.
-    Small blocks are solved densely with ``scipy.linalg.eigh(R, A)``,
-    larger ones with Lanczos in the A inner product (``eigsh`` with M = A),
-    R applied as an operator.  The potential is recovered as p = -C^+ B u
+    Small blocks are solved densely with ``scipy.linalg.eigh(R, A)``.
+    Larger ones go through Lanczos in the A inner product (``eigsh`` with
+    M = A) on the symmetric semidefinite B^T (C + rho I)^{-1} B, one
+    unrefined solve on the C factor per step; the Ritz vectors U then get
+    one Rayleigh-Ritz step with the exact R, ``eigh(U^T R U, U^T A U)``,
+    so every returned mu is a Rayleigh quotient of R, accurate to second
+    order in the shift.  The potential is recovered as p = -C^+ B u
     and moved onto the gauge by :func:`_fix_gauge`; every pair still passes
     :func:`filter_spectrum`'s residual gate on K and M, without the
     absolute finite cutoff, and the ``nev`` smallest are returned.
 
-    ``meta`` records ``path`` ('dense' or 'sparse'), the shift ``rho`` and
-    ``refinement_steps`` of the C solves, the block sizes ``size_A`` and
-    ``size_C``, the factor fill ``lu_nnz_A`` and ``lu_nnz_C`` (L + U; the
-    dense Cholesky triangle for A on the dense path), ``op_applies`` (R
-    applied to one vector; the columns of R on the dense path), and the
-    Lanczos ``lanczos_k`` and ``lanczos_ncv`` (k is the number of top pairs
-    taken on the dense path, where ncv is None).
+    ``meta`` records ``path`` ('dense' or 'sparse'), the shift ``rho``,
+    ``refinement_steps`` of the C solves that form the dense R and recover
+    the potentials (the Lanczos steps take none), the block sizes
+    ``size_A`` and ``size_C``, the factor fill ``lu_nnz_A`` and
+    ``lu_nnz_C`` (L + U; the dense Cholesky triangle for A on the dense
+    path), ``op_applies`` (the Lanczos operator applied to one vector; the
+    columns of R on the dense path), and the Lanczos ``lanczos_k`` and
+    ``lanczos_ncv`` (k is the number of top pairs taken on the dense path,
+    where ncv is None).
     """
     try:
         A, B, C = (pencil.blocks[k] for k in ("A", "B", "C"))
@@ -468,7 +477,7 @@ def schur_eigs(pencil, nev=10, seed=0):
 
         def r_matvec(v):
             applies[0] += 1
-            return B.T @ csolve(B @ v)
+            return B.T @ chandle.solve(B @ v)
         R = spla.LinearOperator((nU, nU), matvec=r_matvec, dtype=float)
         Ainv = spla.LinearOperator((nU, nU), matvec=ahandle.solve, dtype=float)
         ncv = min(nU, max(2 * k + 1, 20))
@@ -480,7 +489,11 @@ def schur_eigs(pencil, nev=10, seed=0):
             raise PencilError(
                 f"Lanczos did not converge; {len(e.eigenvalues)} of {k} "
                 "Ritz pairs converged") from e
-        Y = -csolve(B @ U)
+        # Rayleigh-Ritz with the exact R on the Lanczos basis
+        BU = B @ U
+        X = csolve(BU)
+        mu, W = scipy.linalg.eigh(BU.T @ X, U.T @ (A @ U))
+        U, Y = U @ W, -(X @ W)
         meta.update(lu_nnz_A=_lu_nnz(ahandle), op_applies=applies[0],
                     lanczos_ncv=ncv)
     finite = mu > MU_INFINITE * mu.max(initial=0.0)
@@ -643,11 +656,13 @@ def solve_symmetric(sym, nev=10, seed=0):
     """The ``nev`` smallest eigenvalues, ascending, of a symmetric pencil
     without its kernel ``range(kernel_basis)``.
 
-    Shift-invert Lanczos on K - sigma M, sigma = SYMMETRIC_SHIFT, factored
-    once.  The kernel basis G is deflated as in Arbenz and Geus (Appl.
-    Numer. Math. 2005) by the M-orthogonal projection P x = x - G (G^T M
-    G)^{-1} G^T M x: the operator is P (K - sigma M)^{-1} P^T, where P^T
-    keeps kernel roundoff from being amplified.  Small pencils go to dense
+    Shift-invert Lanczos on K - sigma M, factored once, with sigma =
+    SYMMETRIC_SHIFT (pi / extent)^2 on the scale of the spectrum, where
+    extent is the largest side of the mesh's bounding box; at extent pi
+    sigma is -0.1.  The kernel basis G is deflated as in Arbenz and Geus
+    (Appl. Numer. Math. 2005) by the M-orthogonal projection P x = x - G
+    (G^T M G)^{-1} G^T M x: the operator is P (K - sigma M)^{-1} P^T, where
+    P^T keeps kernel roundoff from being amplified.  Small pencils go to dense
     ``eigh``, which drops exactly ``kernel_basis.shape[1]`` values.
     """
     G, K, M = sym.kernel_basis, sym.K, sym.M
@@ -658,8 +673,10 @@ def solve_symmetric(sym, nev=10, seed=0):
     if n <= max(_DENSE_SOLVE_LIMIT, nker + nev + 2):
         lam = scipy.linalg.eigh(K.toarray(), M.toarray(), eigvals_only=True)
         return lam[nker:nker + nev]
+    extent = np.ptp(sym.space[0].mesh.vertices, axis=0).max()
+    sigma = SYMMETRIC_SHIFT * (np.pi / extent) ** 2
     # both SPD; the absolute condition probe would fail by units alone
-    handle = factorize(K - SYMMETRIC_SHIFT * M, probe=False)
+    handle = factorize(K - sigma * M, probe=False)
     solve = handle.solve
     if G is not None:
         MG = (M @ G).tocsc()
@@ -670,7 +687,7 @@ def solve_symmetric(sym, nev=10, seed=0):
             return x - G @ gram.solve(MG.T @ x)
     v0 = np.random.default_rng(seed).standard_normal(n)
     try:
-        lam = spla.eigsh(K, k=nev, M=M, sigma=SYMMETRIC_SHIFT, v0=v0,
+        lam = spla.eigsh(K, k=nev, M=M, sigma=sigma, v0=v0,
                          OPinv=spla.LinearOperator((n, n), matvec=solve,
                                                    dtype=float),
                          ncv=min(n - nker, max(2 * nev + 1, 20)),

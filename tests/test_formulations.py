@@ -273,6 +273,20 @@ class TestSymmetricSolver:
         assert (np.abs(lam - want) <= 1e-9 * (1 + np.abs(want))).all()
         assert bool(factored) == (path == "sparse")
 
+    @pytest.mark.parametrize("side", [10.0**e for e in range(-5, 6)])
+    @pytest.mark.parametrize("build", [curlcurl_edge, galerkin_laplace])
+    def test_side_sweep_matches_dense_eigh(self, build, side):
+        # the shift scales with the spectrum, so neither the success nor the
+        # relative accuracy of the Lanczos solve depends on the units
+        pen = build(build_structured_square(8, side))
+        assert pen.size > pencil._DENSE_SOLVE_LIMIT
+        nker = pen.kernel_basis.shape[1]
+        full = scipy.linalg.eigh(pen.K.toarray(), pen.M.toarray(),
+                                 eigvals_only=True)
+        want = full[nker:nker + 8]
+        lam = solve_symmetric(pen, nev=8)
+        assert np.abs(lam - want).max() <= 1e-9 * np.abs(want).max()
+
 
 def _scalar_weighted_mass_eig(mesh, mu_out):
     # -Lap p = lambda mu p with Neumann bc: P1 stiffness vs mu-weighted mass

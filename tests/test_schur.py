@@ -103,6 +103,41 @@ def test_matches_dense_qz(name, path):
         assert ratio.max() <= 1e-8
 
 
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_sparse_path_matches_dense_path(name, monkeypatch):
+    # Lanczos runs on the shifted C factor without refinement; the
+    # Rayleigh-Ritz step with the exact R puts its eigenvalues back on the
+    # dense path's
+    mesh, spec, nev = CASES[name]
+    pen = build_pencil(mesh, spec)
+    lam = {}
+    for path, limit in (("dense", 10**9), ("sparse", 0)):
+        monkeypatch.setattr(pencilmod, "_DENSE_SCHUR_LIMIT", limit)
+        lam[path] = schur_eigs(pen, nev=nev).eigenvalues
+    assert np.abs(lam["sparse"] - lam["dense"]).max() \
+        <= 1e-12 * np.abs(lam["dense"]).max()
+
+
+def test_one_c_solve_per_lanczos_step(monkeypatch):
+    # every application of R in the Lanczos makes one solve on the C
+    # factor; recovering the potentials makes two (solve and refinement)
+    pen = build_pencil(build_structured_square(8), FormulationSpec(kind="ls2d"))
+    c_solves = []
+    real_factorize = pencilmod.factorize
+
+    def factorize(K, **kw):
+        handle = real_factorize(K, **kw)
+        if K.shape == pen.blocks["C"].shape:
+            solve = handle.solve
+            handle.solve = lambda b: c_solves.append(b.shape) or solve(b)
+        return handle
+    monkeypatch.setattr(pencilmod, "factorize", factorize)
+    monkeypatch.setattr(pencilmod, "_DENSE_SCHUR_LIMIT", 0)
+    sol = schur_eigs(pen, nev=6)
+    assert sol.meta["path"] == "sparse"
+    assert len(c_solves) == sol.meta["op_applies"] + 2
+
+
 @pytest.mark.parametrize("elements", ["ned0", "p1"])
 def test_small_square_beyond_the_absolute_cutoff(elements, tmp_path):
     # every eigenvalue of the side-1e-3 square is about 1e7, past the
