@@ -19,7 +19,8 @@ from .formulations import (FormulationSpec, build_pencil, curlcurl_edge,
                            ls_maxwell_3d_twofield_nodal)
 from .mesh import (EXTERIOR, SLIT_BOTTOM, SLIT_TOP, Mesh, build_lshape,
                    build_slit, build_structured_cube, build_structured_square,
-                   perturb_interior, tag_subdomain, write_mesh_text)
+                   perturb_interior, read_mesh_text, tag_subdomain,
+                   write_mesh_text)
 from .pencil import (BlockPencil, EigenSolution, SymmetricPencil, dense_qz,
                      factorize, filter_spectrum, schur_eigs, schur_reduce,
                      shift_invert_eigs, solve_symmetric)
@@ -37,7 +38,7 @@ __all__ = [
     "ls_maxwell_2d", "ls_maxwell_3d_threefield", "ls_maxwell_3d_twofield_nodal",
     "EXTERIOR", "SLIT_BOTTOM", "SLIT_TOP", "Mesh", "build_lshape", "build_slit",
     "build_structured_cube", "build_structured_square", "perturb_interior",
-    "tag_subdomain", "write_mesh_text",
+    "read_mesh_text", "tag_subdomain", "write_mesh_text",
     "BlockPencil", "EigenSolution", "SymmetricPencil", "dense_qz", "factorize",
     "filter_spectrum", "schur_eigs", "schur_reduce", "shift_invert_eigs",
     "solve_symmetric",

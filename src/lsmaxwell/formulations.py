@@ -169,7 +169,6 @@ def _ls_pencil(mesh, spec, kind):
         start += size
     pencil = BlockPencil(K, M, ranges, primary="p", blocks=blocks, spaces=spaces,
                          flags={"kind": kind, "bc": bc, "gauge": gauge,
-                                "singular": bc == "standard" and gauge == "none",
                                 "theory_covered": kind != "ls3d_twofield_nodal"})
     return validate_pencil(pencil)
 

@@ -81,12 +81,6 @@ class Mesh:
     def boundary_vertices(self):
         return np.unique(self.boundary_facets)
 
-    def h_max(self):
-        """Longest edge over all cells."""
-        edges = unique_edges(self.cells)
-        d = self.vertices[edges[:, 1]] - self.vertices[edges[:, 0]]
-        return float(np.sqrt((d * d).sum(axis=1)).max())
-
     def facets_with_tags(self, tags):
         mask = np.isin(self.facet_tags, list(tags))
         return self.boundary_facets[mask]
@@ -448,7 +442,9 @@ def write_mesh_text(mesh):
 
 
 def read_mesh_text(text):
-    """Inverse of :func:`write_mesh_text`."""
+    """Inverse of :func:`write_mesh_text`; the mesh read is checked by
+    :func:`validate`, so a file with a misoriented cell or a facet list
+    that does not match the cells raises :class:`MeshError`."""
     rows = text.strip().splitlines()
     dim, nv, nc, nf = (int(t) for t in rows[0].split())
     verts = np.array([[float(t) for t in r.split()] for r in rows[1:1 + nv]])
@@ -468,5 +464,5 @@ def read_mesh_text(text):
         k = int(rest[0].split()[1])
         crack_pairs = np.array([[int(t) for t in r.split()] for r in rest[1:1 + k]],
                                dtype=np.int64).reshape(k, 2)
-    return Mesh(dim, verts, cells, np.array(facets, dtype=np.int64),
-                np.array(tags, dtype=object), cell_tags, crack_pairs)
+    return validate(Mesh(dim, verts, cells, np.array(facets, dtype=np.int64),
+                         np.array(tags, dtype=object), cell_tags, crack_pairs))

@@ -292,50 +292,25 @@ def filter_spectrum(pencil, lambdas, vectors, finite_cutoff=FINITE_CUTOFF,
     return EigenSolution(lams, comps, res, discarded)
 
 
-def _factor_shifted(pencil, sigma):
-    """Factor K - sigma*M with the shift/regularization fallback chain."""
-    K, M = pencil.K, pencil.M
-    tried = []
-    if not pencil.flags.get("singular", False):
-        shifts = (sigma,) if sigma == -0.1 else (sigma, -0.1)
-        for s in shifts:
-            try:
-                return factorize(K - s * M), s, False
-            except SingularMatrixError as e:
-                tried.append((s, str(e)))
-    # exactly singular pencil: a tiny diagonal shift deflates the common
-    # nullspace (its image under M vanishes, so those directions map to
-    # theta ~ 0 and never surface in the Arnoldi basis)
-    A = (K - sigma * M).tocsc()
-    rho = _REG_SCALE * max(np.abs(A.data).max() if A.nnz else 1.0, 1.0)
-    A = A + rho * sparse.identity(A.shape[0], format="csc")
-    try:
-        handle = factorize(A, probe=False)
-    except SingularMatrixError as e:
-        raise SingularMatrixError(
-            "factorization failed for all shifts: " +
-            "; ".join(f"sigma={sv}: {msg}" for sv, msg in tried)) from e
-    return handle, sigma, True
-
-
 def shift_invert_eigs(pencil, sigma=0.0, nev=10, tol=RESIDUAL_TOL,
                       max_iter=None, seed=0, finite_cutoff=FINITE_CUTOFF,
                       arnoldi_tol=1e-10):
     """Finite eigenpairs of the pencil nearest ``sigma``.
 
-    Implicitly restarted Arnoldi on (K - sigma M)^{-1} M; eigenvalues are
-    recovered as sigma + 1/theta and passed through
-    :func:`filter_spectrum`.  At least ``nev`` kept pairs are returned
-    (ascending) or a :class:`PencilError` is raised.
+    Implicitly restarted Arnoldi on (K - sigma M)^{-1} M, solved through
+    :func:`_refined_solver`, whose relative shift also factors an exactly
+    singular pencil; eigenvalues are recovered as sigma + 1/theta and
+    passed through :func:`filter_spectrum`.  At least ``nev`` kept pairs
+    are returned (ascending) or a :class:`PencilError` is raised.
     """
     n = pencil.size
     if n <= max(_DENSE_SOLVE_LIMIT, nev + 2):
         return _dense_eigs(pencil, nev, sigma, tol, finite_cutoff)
 
-    handle, sig, regularized = _factor_shifted(pencil, sigma)
+    solve, _, _ = _refined_solver((pencil.K - sigma * pencil.M).tocsc())
     M = pencil.M.tocsr()
     op = spla.LinearOperator(
-        (n, n), matvec=lambda v: handle.solve(M @ v), dtype=float)
+        (n, n), matvec=lambda v: solve(M @ v), dtype=float)
     rng = np.random.default_rng(seed)
     v0 = rng.standard_normal(n)
 
@@ -355,7 +330,7 @@ def shift_invert_eigs(pencil, sigma=0.0, nev=10, tol=RESIDUAL_TOL,
                 f"Arnoldi did not converge within the iteration budget; "
                 f"{len(e.eigenvalues)} of {k} Ritz pairs converged") from e
         with np.errstate(divide="ignore", invalid="ignore"):
-            lam = sig + 1.0 / theta
+            lam = sigma + 1.0 / theta
         sol = filter_spectrum(pencil, lam, vecs,
                               finite_cutoff=finite_cutoff, residual_tol=tol)
         if len(sol.eigenvalues) >= nev or attempts >= 2 or k >= n - 2:
@@ -365,7 +340,7 @@ def shift_invert_eigs(pencil, sigma=0.0, nev=10, tol=RESIDUAL_TOL,
         raise PencilError(
             f"only {len(sol.eigenvalues)} finite eigenpairs passed filtering "
             f"(requested {nev}); residuals: {sol.residuals}")
-    sol.meta.update(sigma=sig, regularized=regularized, arnoldi_dim=k)
+    sol.meta.update(sigma=sigma, arnoldi_dim=k)
     return sol
 
 
@@ -394,6 +369,26 @@ def _refined_solver(C):
 
 def _lu_nnz(handle):
     return int(handle._lu.L.nnz + handle._lu.U.nnz)
+
+
+def _lanczos(op, k, dim, seed, **kw):
+    """``scipy.sparse.linalg.eigsh(op, k, **kw)`` from a seeded random start
+    vector, with ncv = min(dim, max(2k + 1, 20)) basis vectors, where dim
+    bounds the Krylov space; returns eigsh's result and ncv.
+
+    Exactly the k wanted pairs are asked for: a guard pair beyond them
+    would have to converge too, and when it sits in the next cluster it
+    narrows the gap between the wanted and the unwanted Ritz values that
+    sets the convergence rate.  Non-convergence raises
+    :class:`PencilError`.
+    """
+    ncv = min(dim, max(2 * k + 1, 20))
+    v0 = np.random.default_rng(seed).standard_normal(op.shape[0])
+    try:
+        return spla.eigsh(op, k=k, v0=v0, ncv=ncv, **kw), ncv
+    except spla.ArpackNoConvergence as e:
+        raise PencilError(f"Lanczos did not converge; {len(e.eigenvalues)} "
+                          f"of {k} Ritz pairs converged") from e
 
 
 def _fix_gauge(pencil, P):
@@ -430,16 +425,18 @@ def schur_eigs(pencil, nev=10, seed=0):
     ker(C), so only the plain C block is factored, through
     :func:`_refined_solver`.  The infinite modes sit at mu = 0 (pairs with
     mu <= MU_INFINITE * max mu), so the largest mu are the wanted pairs.
+    Both paths take exactly the ``nev`` largest mu, with no guard pairs.
     Small blocks are solved densely with ``scipy.linalg.eigh(R, A)``.
-    Larger ones go through Lanczos in the A inner product (``eigsh`` with
-    M = A) on the symmetric semidefinite B^T (C + rho I)^{-1} B, one
-    unrefined solve on the C factor per step; the Ritz vectors U then get
-    one Rayleigh-Ritz step with the exact R, ``eigh(U^T R U, U^T A U)``,
-    so every returned mu is a Rayleigh quotient of R, accurate to second
-    order in the shift.  The potential is recovered as p = -C^+ B u
+    Larger ones go through :func:`_lanczos` in the A inner product
+    (``eigsh`` with M = A) on the symmetric semidefinite
+    B^T (C + rho I)^{-1} B, one unrefined solve on the C factor per step;
+    the Ritz vectors U then get one Rayleigh-Ritz step with the exact R,
+    ``eigh(U^T R U, U^T A U)``, so every returned mu is a Rayleigh quotient
+    of R, accurate to second order in the shift.  The potential is recovered as p = -C^+ B u
     and moved onto the gauge by :func:`_fix_gauge`; every pair still passes
     :func:`filter_spectrum`'s residual gate on K and M, without the
-    absolute finite cutoff, and the ``nev`` smallest are returned.
+    absolute finite cutoff; a pair that fails it leaves fewer than ``nev``
+    and raises :class:`PencilError`.
 
     ``meta`` records ``path`` ('dense' or 'sparse'), the shift ``rho``,
     ``refinement_steps`` of the C solves that form the dense R and recover
@@ -448,8 +445,8 @@ def schur_eigs(pencil, nev=10, seed=0):
     ``lu_nnz_C`` (L + U; the dense Cholesky triangle for A on the dense
     path), ``op_applies`` (the Lanczos operator applied to one vector; the
     columns of R on the dense path), and the Lanczos ``lanczos_k`` and
-    ``lanczos_ncv`` (k is the number of top pairs taken on the dense path,
-    where ncv is None).
+    ``lanczos_ncv`` (k = nev whenever A has that many rows, on both paths;
+    ncv is None on the dense path).
     """
     try:
         A, B, C = (pencil.blocks[k] for k in ("A", "B", "C"))
@@ -460,8 +457,8 @@ def schur_eigs(pencil, nev=10, seed=0):
         raise PencilError("Schur blocks do not match the pencil layout")
     A, B, C = A.tocsc(), B.tocsr(), C.tocsc()
     csolve, chandle, rho = _refined_solver(C)
-    k = min(nev + 2, nU)
-    meta = {"path": "dense" if nU <= max(_DENSE_SCHUR_LIMIT, k + 1) else "sparse",
+    k = min(nev, nU)
+    meta = {"path": "dense" if nU <= max(_DENSE_SCHUR_LIMIT, nev + 1) else "sparse",
             "rho": rho, "refinement_steps": 1, "size_A": nU, "size_C": nC,
             "lu_nnz_C": _lu_nnz(chandle), "lanczos_k": k, "lanczos_ncv": None}
     if meta["path"] == "dense":
@@ -480,15 +477,8 @@ def schur_eigs(pencil, nev=10, seed=0):
             return B.T @ chandle.solve(B @ v)
         R = spla.LinearOperator((nU, nU), matvec=r_matvec, dtype=float)
         Ainv = spla.LinearOperator((nU, nU), matvec=ahandle.solve, dtype=float)
-        ncv = min(nU, max(2 * k + 1, 20))
-        v0 = np.random.default_rng(seed).standard_normal(nU)
-        try:
-            mu, U = spla.eigsh(R, k=k, M=A, Minv=Ainv, which="LA", v0=v0,
-                               ncv=ncv, tol=1e-10)
-        except spla.ArpackNoConvergence as e:
-            raise PencilError(
-                f"Lanczos did not converge; {len(e.eigenvalues)} of {k} "
-                "Ritz pairs converged") from e
+        (mu, U), ncv = _lanczos(R, k, nU, seed, M=A, Minv=Ainv, which="LA",
+                                tol=1e-10)
         # Rayleigh-Ritz with the exact R on the Lanczos basis
         BU = B @ U
         X = csolve(BU)
@@ -505,8 +495,6 @@ def schur_eigs(pencil, nev=10, seed=0):
         raise PencilError(
             f"only {len(sol.eigenvalues)} finite eigenpairs passed filtering "
             f"(requested {nev}); residuals: {sol.residuals}")
-    sol.eigenvalues, sol.residuals = sol.eigenvalues[:nev], sol.residuals[:nev]
-    sol.vectors = {name: Z[:, :nev] for name, Z in sol.vectors.items()}
     sol.meta.update(meta)
     return sol
 
@@ -543,8 +531,7 @@ def _dense_eigs(pencil, nev, sigma, tol, finite_cutoff):
         raise PencilError(
             f"only {len(sol.eigenvalues)} finite eigenpairs passed filtering "
             f"(requested {nev})")
-    sol.meta.update(sigma=sigma, regularized=False, dense=True,
-                    deflated_nullspace=n_deg)
+    sol.meta.update(sigma=sigma, dense=True, deflated_nullspace=n_deg)
     return sol
 
 
@@ -656,10 +643,10 @@ def solve_symmetric(sym, nev=10, seed=0):
     """The ``nev`` smallest eigenvalues, ascending, of a symmetric pencil
     without its kernel ``range(kernel_basis)``.
 
-    Shift-invert Lanczos on K - sigma M, factored once, with sigma =
-    SYMMETRIC_SHIFT (pi / extent)^2 on the scale of the spectrum, where
-    extent is the largest side of the mesh's bounding box; at extent pi
-    sigma is -0.1.  The kernel basis G is deflated as in Arbenz and Geus
+    Shift-invert Lanczos (:func:`_lanczos`, k = ``nev``) on K - sigma M,
+    factored once, with sigma = SYMMETRIC_SHIFT (pi / extent)^2 on the
+    scale of the spectrum, where extent is the largest side of the mesh's
+    bounding box; at extent pi sigma is -0.1.  The kernel basis G is deflated as in Arbenz and Geus
     (Appl. Numer. Math. 2005) by the M-orthogonal projection P x = x - G
     (G^T M G)^{-1} G^T M x: the operator is P (K - sigma M)^{-1} P^T, where
     P^T keeps kernel roundoff from being amplified.  Small pencils go to dense
@@ -685,16 +672,10 @@ def solve_symmetric(sym, nev=10, seed=0):
         def solve(b):
             x = handle.solve(b - MG @ gram.solve(G.T @ b))
             return x - G @ gram.solve(MG.T @ x)
-    v0 = np.random.default_rng(seed).standard_normal(n)
-    try:
-        lam = spla.eigsh(K, k=nev, M=M, sigma=sigma, v0=v0,
-                         OPinv=spla.LinearOperator((n, n), matvec=solve,
-                                                   dtype=float),
-                         ncv=min(n - nker, max(2 * nev + 1, 20)),
-                         return_eigenvectors=False)
-    except spla.ArpackNoConvergence as e:
-        raise PencilError(f"Lanczos did not converge; {len(e.eigenvalues)} "
-                          f"of {nev} Ritz pairs converged") from e
+    lam, _ = _lanczos(K, nev, n - nker, seed, M=M, sigma=sigma,
+                      OPinv=spla.LinearOperator((n, n), matvec=solve,
+                                                dtype=float),
+                      return_eigenvectors=False)
     return np.sort(lam)
 
 

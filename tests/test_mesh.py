@@ -380,3 +380,19 @@ class TestExport:
             "1 3 exterior\n"
             "2 3 exterior\n")
         assert write_mesh_text(build_structured_square(1, side=1.0)) == golden
+
+    def test_read_validates(self):
+        # one cell written with two vertices swapped: reading it used to
+        # succeed, and the least-squares build then failed with a misleading
+        # "D != -B^T" from the negative cell volume
+        m = build_structured_square(4)
+        rows = write_mesh_text(m).splitlines()
+        cell = 1 + m.num_vertices
+        a, b, c = rows[cell].split()
+        rows[cell] = f"{a} {c} {b}"
+        with pytest.raises(MeshError, match="oriented"):
+            read_mesh_text("\n".join(rows) + "\n")
+
+    def test_read_exported(self):
+        import lsmaxwell
+        assert lsmaxwell.read_mesh_text is read_mesh_text

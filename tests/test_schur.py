@@ -6,16 +6,19 @@ import math
 
 import numpy as np
 import pytest
+import scipy.sparse.linalg as spla
 from scipy.sparse.linalg import splu
 
 from lsmaxwell import pencil as pencilmod
 from lsmaxwell.assembly import CoefficientField
 from lsmaxwell.bench import solve_spectrum
 from lsmaxwell.cli import main
-from lsmaxwell.formulations import FormulationSpec, build_pencil
+from lsmaxwell.formulations import FormulationSpec, build_pencil, curlcurl_edge
 from lsmaxwell.mesh import (build_slit, build_structured_cube,
-                            build_structured_square, tag_subdomain)
-from lsmaxwell.pencil import dense_qz, schur_eigs, schur_reduce
+                            build_structured_square, perturb_interior,
+                            tag_subdomain)
+from lsmaxwell.pencil import (PencilError, dense_qz, schur_eigs, schur_reduce,
+                              solve_symmetric)
 
 QUARTER = ((0.0, 0.0), (math.pi / 2, math.pi / 2))
 EPS_JUMP = CoefficientField(eps={0: 100.0, 1: 1.0}, mu={0: 1.0, 1: 1.0})
@@ -136,6 +139,42 @@ def test_one_c_solve_per_lanczos_step(monkeypatch):
     sol = schur_eigs(pen, nev=6)
     assert sol.meta["path"] == "sparse"
     assert len(c_solves) == sol.meta["op_applies"] + 2
+
+
+def test_lanczos_takes_exactly_nev_pairs(monkeypatch):
+    # modes 6-8 of this cube form a cluster at lambda = 6.66-6.69; a guard
+    # pair past nev would sit inside it and slow the Lanczos (58
+    # applications with k = nev + 2)
+    mesh = perturb_interior(build_structured_cube(5), 0.2, 1)
+    pen = build_pencil(mesh, FormulationSpec(
+        kind="ls3d_twofield_nodal", elements_v="p1", elements_q="p1",
+        gauge="none"))
+    monkeypatch.setattr(pencilmod, "_DENSE_SCHUR_LIMIT", 0)
+    sol = schur_eigs(pen, nev=5)
+    assert sol.meta["path"] == "sparse"
+    assert sol.meta["lanczos_k"] == 5
+    assert sol.meta["op_applies"] <= 45
+
+
+def test_lanczos_non_convergence_is_a_pencil_error(monkeypatch):
+    # both Lanczos solvers go through one helper, which turns ARPACK's
+    # failure into a PencilError
+    calls = []
+
+    def eigsh(op, k, **kw):
+        calls.append((k, kw["ncv"]))
+        raise spla.ArpackNoConvergence("no convergence", np.ones(1),
+                                       np.ones((op.shape[0], 1)))
+    monkeypatch.setattr(spla, "eigsh", eigsh)
+    monkeypatch.setattr(pencilmod, "_DENSE_SCHUR_LIMIT", 0)
+    pen = build_pencil(build_structured_square(8), FormulationSpec(kind="ls2d"))
+    with pytest.raises(PencilError, match="1 of 5 Ritz pairs converged"):
+        schur_eigs(pen, nev=5)
+    sym = curlcurl_edge(build_structured_square(8))
+    assert sym.size > pencilmod._DENSE_SOLVE_LIMIT
+    with pytest.raises(PencilError, match="1 of 5 Ritz pairs converged"):
+        solve_symmetric(sym, nev=5)
+    assert calls == [(5, 20), (5, 20)]
 
 
 @pytest.mark.parametrize("elements", ["ned0", "p1"])
