@@ -109,7 +109,6 @@ class StudyConfig:
     perturb_amplitude: float = 0.0
     perturb_seed: int = 1
     material_box: tuple | None = None
-    material_tag: int = 1
 
     def __post_init__(self):
         ns = tuple(self.ns)
@@ -137,6 +136,9 @@ class StudyReport:
 
 
 def build_domain_mesh(config, n):
+    """The mesh of ``config.domain`` at parameter n, with its interior
+    perturbed when ``config.perturb_amplitude`` > 0 and the cells in
+    ``config.material_box`` tagged 1."""
     if config.domain == "square":
         m = meshmod.build_structured_square(n, config.side, config.diagonal)
     elif config.domain == "lshape":
@@ -150,7 +152,7 @@ def build_domain_mesh(config, n):
     if config.perturb_amplitude > 0:
         m = meshmod.perturb_interior(m, config.perturb_amplitude, config.perturb_seed)
     if config.material_box is not None:
-        m = meshmod.tag_subdomain(m, config.material_box, config.material_tag)
+        m = meshmod.tag_subdomain(m, config.material_box, 1)
     return m
 
 

@@ -101,15 +101,11 @@ def study_config_from(cfg, spec=None, spec_b=None, reference=None, nev=None):
 
 
 def cmd_mesh(args):
-    builders = {
-        "square": lambda: meshmod.build_structured_square(args.n, args.side, args.diagonal),
-        "lshape": lambda: meshmod.build_lshape(args.n, args.diagonal),
-        "slit": lambda: meshmod.build_slit(args.n, args.diagonal),
-        "cube": lambda: meshmod.build_structured_cube(args.n, args.side),
-    }
-    m = builders[args.domain]()
-    if args.perturb > 0:
-        m = meshmod.perturb_interior(m, args.perturb, args.seed)
+    config = StudyConfig(domain=args.domain, ns=(args.n,), spec=FormulationSpec(),
+                         reference=args.domain, diagonal=args.diagonal,
+                         side=args.side, perturb_amplitude=args.perturb,
+                         perturb_seed=args.seed)
+    m = build_domain_mesh(config, args.n)
     with open(args.out, "w") as f:
         f.write(meshmod.write_mesh_text(m))
     return 0

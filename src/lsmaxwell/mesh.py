@@ -157,33 +157,64 @@ def validate(mesh):
     got = _unique_rows(mesh.boundary_facets)
     if bd.shape != got.shape or not (bd == got).all():
         raise MeshError("boundary facet set does not match cell adjacency")
-    for a, b in mesh.crack_pairs:
-        if not np.allclose(mesh.vertices[a], mesh.vertices[b]):
-            raise MeshError("crack pair vertices are not coincident")
-        both = np.isin(mesh.cells, a).any(axis=1) & np.isin(mesh.cells, b).any(axis=1)
-        if both.any():
-            raise MeshError("a cell references both sides of a crack pair")
+    pairs = mesh.crack_pairs
+    if not len(pairs):
+        return mesh
+    if not np.allclose(mesh.vertices[pairs[:, 0]], mesh.vertices[pairs[:, 1]]):
+        raise MeshError("crack pair vertices are not coincident")
+    # a cell holds both vertices of a pair iff the sorted pair is one of its
+    # sorted vertex pairs; i == j catches a pair (a, a) as well
+    nl = mesh.cells.shape[1]
+    held = np.vstack([np.sort(mesh.cells[:, [i, j]], axis=1)
+                      for i in range(nl) for j in range(i, nl)])
+    rows = np.vstack([_unique_rows(held), _unique_rows(np.sort(pairs, axis=1))])
+    if _unique_rows(rows, return_counts=True)[1].max() > 1:
+        raise MeshError("a cell references both sides of a crack pair")
     return mesh
 
 
-def _grid_square(n, side, x0=0.0, y0=0.0):
-    xs = x0 + side * np.arange(n + 1) / n
-    ys = y0 + side * np.arange(n + 1) / n
+# corner triples per quad split, indexing the quad's (v00, v10, v01, v11,
+# centre); every triangle is positively oriented
+_SPLITS = {
+    "right": [(0, 1, 3), (0, 3, 2)],
+    "left": [(0, 1, 2), (1, 3, 2)],
+    "crisscross": [(0, 1, 4), (1, 3, 4), (3, 2, 4), (2, 0, 4)],
+}
+
+
+def _grid_mesh(xs, ys, cxs, cys, keep, diagonal):
+    """Triangulation of the quads ``keep[iy, ix]`` of the tensor grid
+    ``xs`` x ``ys``, each split by ``diagonal`` through :data:`_SPLITS`.
+
+    The grid vertices that a kept quad touches are numbered row by row (x
+    fastest); a 'crisscross' split appends one centre (cxs[ix], cys[iy])
+    per kept quad, in the same order.  Returns the validated mesh, every
+    boundary facet tagged :data:`EXTERIOR`.
+    """
+    if diagonal not in _SPLITS:
+        raise MeshError(f"unknown diagonal {diagonal!r}")
+    used = np.zeros((len(ys), len(xs)), dtype=bool)
+    for dy in (0, 1):
+        for dx in (0, 1):
+            used[dy:len(ys) - 1 + dy, dx:len(xs) - 1 + dx] |= keep
     X, Y = np.meshgrid(xs, ys, indexing="xy")
-    return np.column_stack([X.ravel(), Y.ravel()])
-
-
-def _quad_triangles(v00, v10, v01, v11, diagonal):
-    if diagonal == "right":
-        return [(v00, v10, v11), (v00, v11, v01)]
-    if diagonal == "left":
-        return [(v00, v10, v01), (v10, v11, v01)]
-    raise MeshError(f"unknown diagonal {diagonal!r}")
+    verts = np.column_stack([X[used], Y[used]])
+    vid = np.cumsum(used).reshape(used.shape) - 1
+    iy, ix = np.nonzero(keep)
+    corners = [vid[iy, ix], vid[iy, ix + 1], vid[iy + 1, ix], vid[iy + 1, ix + 1]]
+    if diagonal == "crisscross":
+        corners.append(len(verts) + np.arange(len(ix)))
+        verts = np.vstack([verts, np.column_stack([cxs[ix], cys[iy]])])
+    cells = np.stack(corners, axis=1)[:, _SPLITS[diagonal]].reshape(-1, 3)
+    cells = _orient_positive(verts, cells, 2)
+    bf = boundary_facets_of(cells, 2)
+    tags = np.array([EXTERIOR] * len(bf), dtype=object)
+    return validate(Mesh(2, verts, cells, bf, tags))
 
 
 def build_structured_square(n, side=math.pi, diagonal="right"):
     """Uniform triangulation of the square (0, side)^2 with n subdivisions
-    per side.
+    per side: :func:`_grid_mesh` keeping every quad.
 
     ``diagonal`` selects how each grid quad is split: 'right' (lower-left to
     upper-right), 'left', or 'crisscross' (extra center vertex, 4 triangles).
@@ -192,37 +223,16 @@ def build_structured_square(n, side=math.pi, diagonal="right"):
         raise MeshError("n must be >= 1")
     if side <= 0:
         raise MeshError("side must be positive")
-    if diagonal not in ("right", "left", "crisscross"):
-        raise MeshError(f"unknown diagonal {diagonal!r}")
-    verts = _grid_square(n, side)
-    vid = lambda ix, iy: iy * (n + 1) + ix
-    cells = []
-    if diagonal == "crisscross":
-        centers = []
-        h = side / n
-        for iy in range(n):
-            for ix in range(n):
-                c = len(verts) + len(centers)
-                centers.append([(ix + 0.5) * h, (iy + 0.5) * h])
-                v00, v10 = vid(ix, iy), vid(ix + 1, iy)
-                v01, v11 = vid(ix, iy + 1), vid(ix + 1, iy + 1)
-                cells += [(v00, v10, c), (v10, v11, c), (v11, v01, c), (v01, v00, c)]
-        verts = np.vstack([verts, np.array(centers)])
-    else:
-        for iy in range(n):
-            for ix in range(n):
-                v00, v10 = vid(ix, iy), vid(ix + 1, iy)
-                v01, v11 = vid(ix, iy + 1), vid(ix + 1, iy + 1)
-                cells += _quad_triangles(v00, v10, v01, v11, diagonal)
-    cells = _orient_positive(verts, np.array(cells, dtype=np.int64), 2)
-    bf = boundary_facets_of(cells, 2)
-    tags = np.array([EXTERIOR] * len(bf), dtype=object)
-    return validate(Mesh(2, verts, cells, bf, tags))
+    xs = side * np.arange(n + 1) / n
+    cs = (np.arange(n) + 0.5) * (side / n)
+    return _grid_mesh(xs, xs, cs, cs, np.ones((n, n), dtype=bool), diagonal)
 
 
 def build_lshape(n, diagonal="right"):
     """Triangulation of the L-shaped domain (-1,1)^2 minus the closed upper
-    right unit square, with n subdivisions per unit length.
+    right unit square, with n subdivisions per unit length:
+    :func:`_grid_mesh` on the 2n x 2n grid of (-1,1)^2, keeping every quad
+    whose centre lies outside the open upper right quadrant.
 
     The 'crisscross' split is symmetric around the re-entrant corner, which
     nodal discretizations of singular fields need to converge at the full
@@ -231,100 +241,43 @@ def build_lshape(n, diagonal="right"):
     """
     if n < 1:
         raise MeshError("n must be >= 1")
-    m = 2 * n
-    coords = -1.0 + np.arange(m + 1) / n
-    keep = {}
-    verts = []
-    for iy in range(m + 1):
-        for ix in range(m + 1):
-            x, y = coords[ix], coords[iy]
-            if x > _SNAP and y > _SNAP:
-                continue
-            keep[(ix, iy)] = len(verts)
-            verts.append([x, y])
-    verts = np.array(verts)
-    cells = []
-    centers = []
-    nv_grid = len(verts)
-    for iy in range(m):
-        for ix in range(m):
-            cx = coords[ix] + 0.5 / n
-            cy = coords[iy] + 0.5 / n
-            if cx > 0 and cy > 0:
-                continue
-            v00, v10 = keep[(ix, iy)], keep[(ix + 1, iy)]
-            v01, v11 = keep[(ix, iy + 1)], keep[(ix + 1, iy + 1)]
-            if diagonal == "crisscross":
-                c = nv_grid + len(centers)
-                centers.append([cx, cy])
-                cells += [(v00, v10, c), (v10, v11, c), (v11, v01, c), (v01, v00, c)]
-            else:
-                cells += _quad_triangles(v00, v10, v01, v11, diagonal)
-    if centers:
-        verts = np.vstack([verts, np.array(centers)])
-    cells = _orient_positive(verts, np.array(cells, dtype=np.int64), 2)
-    bf = boundary_facets_of(cells, 2)
-    tags = np.array([EXTERIOR] * len(bf), dtype=object)
-    return validate(Mesh(2, verts, cells, bf, tags))
+    xs = -1.0 + np.arange(2 * n + 1) / n
+    cs = xs[:-1] + 0.5 / n
+    keep = ~((cs[:, None] > 0) & (cs[None, :] > 0))
+    return _grid_mesh(xs, xs, cs, cs, keep, diagonal)
 
 
 def build_slit(n, diagonal="right"):
     """Triangulation of the square (-1,1)^2 with the segment (0,1)x{0}
-    removed as an open crack.
+    removed as an open crack: the square of side 2 with 2n subdivisions,
+    shifted by -1.
 
-    Vertices on the open slit are duplicated; cells above the slit reference
-    the top copies, cells below the originals.  The tip (0,0) stays single.
-    As for :func:`build_lshape`, the 'crisscross' split restores the full
-    nodal convergence rate of the tip-singular modes.
+    Vertices on the open slit are duplicated, the top copies appended in
+    order of x; cells above the slit are relabelled onto the top copies,
+    cells below keep the originals.  The tip (0,0) stays single.  Slit
+    facets whose vertices are all top copies (or the tip) are tagged
+    :data:`SLIT_TOP`, those on the originals :data:`SLIT_BOTTOM`.  As for
+    :func:`build_lshape`, the 'crisscross' split restores the full nodal
+    convergence rate of the tip-singular modes.
     """
     if n < 1:
         raise MeshError("n must be >= 1")
-    m = 2 * n
-    base = build_structured_square(m, 2.0, diagonal)
+    base = build_structured_square(2 * n, 2.0, diagonal)
     verts = base.vertices - 1.0
-    cells = base.cells.copy()
-
-    on_slit = (np.abs(verts[:, 1]) < _SNAP) & (verts[:, 0] > _SNAP) & (verts[:, 0] <= 1.0 + _SNAP)
-    slit_orig = np.flatnonzero(on_slit)
-    slit_orig = slit_orig[np.argsort(verts[slit_orig, 0])]
-    top_copy = {}
-    new_verts = [verts]
-    for k, v in enumerate(slit_orig):
-        top_copy[v] = len(verts) + k
-        new_verts.append(verts[v][None, :])
-    verts = np.vstack(new_verts)
-
-    bary_y = base.vertices[base.cells][:, :, 1].mean(axis=1) - 1.0
-    above = bary_y > 0
-    for v, t in top_copy.items():
-        hit = above & (cells == v).any(axis=1)
-        rows = np.flatnonzero(hit)
-        for r in rows:
-            cells[r, cells[r] == v] = t
-
-    crack_pairs = np.array([[v, top_copy[v]] for v in slit_orig], dtype=np.int64)
+    x, y = verts.T
+    bottom = np.flatnonzero((np.abs(y) < _SNAP) & (x > _SNAP) & (x <= 1.0 + _SNAP))
+    tip = np.flatnonzero((np.abs(y) < _SNAP) & (np.abs(x) < _SNAP))[:1]
+    top = len(verts) + np.arange(len(bottom))
+    relabel = np.arange(len(verts) + len(bottom))
+    relabel[bottom] = top
+    above = base.barycenters()[:, 1] > 1.0
+    cells = np.where(above[:, None], relabel[base.cells], base.cells)
+    verts = np.vstack([verts, verts[bottom]])
     bf = boundary_facets_of(cells, 2)
-
-    tip_candidates = np.flatnonzero(
-        (np.abs(verts[:, 1]) < _SNAP) & (np.abs(verts[:, 0]) < _SNAP)
-    )
-    tip = int(tip_candidates[0])
-    tops = set(int(t) for t in crack_pairs[:, 1]) | {tip}
-    bottoms = set(int(b) for b in crack_pairs[:, 0]) | {tip}
-
-    def slit_tag(facet):
-        pts = verts[facet]
-        if not (np.abs(pts[:, 1]) < _SNAP).all():
-            return EXTERIOR
-        if not ((pts[:, 0] > -_SNAP) & (pts[:, 0] <= 1.0 + _SNAP)).all():
-            return EXTERIOR
-        if all(int(v) in tops for v in facet):
-            return SLIT_TOP
-        if all(int(v) in bottoms for v in facet):
-            return SLIT_BOTTOM
-        return EXTERIOR
-
-    tags = np.array([slit_tag(f) for f in bf], dtype=object)
+    tags = np.array([EXTERIOR] * len(bf), dtype=object)
+    tags[np.isin(bf, np.append(top, tip)).all(axis=1)] = SLIT_TOP
+    tags[np.isin(bf, np.append(bottom, tip)).all(axis=1)] = SLIT_BOTTOM
+    crack_pairs = np.column_stack([bottom, top]).astype(np.int64)
     return validate(Mesh(2, verts, cells, bf, tags, crack_pairs=crack_pairs))
 
 

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from lsmaxwell import mesh as meshmod
-from lsmaxwell.mesh import (EXTERIOR, SLIT_BOTTOM, SLIT_TOP, MeshError,
+from lsmaxwell.mesh import (EXTERIOR, SLIT_BOTTOM, SLIT_TOP, Mesh, MeshError,
                             boundary_facets_of, build_lshape, build_slit,
                             build_structured_cube, build_structured_square,
                             perturb_interior, read_mesh_text, tag_subdomain,
@@ -138,6 +138,17 @@ class TestSlit:
     def test_validates(self):
         validate(build_slit(3))
 
+    def test_validate_rejects_a_cell_across_a_crack_pair(self):
+        # a positive cell and its own edges as facets: only the crack test
+        # sees that the cell holds both vertices of the pair
+        m = Mesh(2, np.array([[0.0, 0.0], [1e-10, 0.0], [0.0, 1.0]]),
+                 np.array([[0, 1, 2]]), np.array([[0, 1], [0, 2], [1, 2]]),
+                 np.array([EXTERIOR] * 3, dtype=object))
+        validate(m)
+        m.crack_pairs = np.array([[0, 1]])
+        with pytest.raises(MeshError, match="both sides of a crack pair"):
+            validate(m)
+
 
 class TestCube:
     def test_n1_kuhn(self):
@@ -197,6 +208,113 @@ def loop_cube_cells(n):
     return np.array(cells, dtype=np.int64)
 
 
+def loop_quad_triangles(v00, v10, v01, v11, diagonal):
+    if diagonal == "right":
+        return [(v00, v10, v11), (v00, v11, v01)]
+    if diagonal == "left":
+        return [(v00, v10, v01), (v10, v11, v01)]
+    raise MeshError(f"unknown diagonal {diagonal!r}")
+
+
+def loop_tagged_mesh(verts, cells, **kw):
+    cells = meshmod._orient_positive(verts, np.array(cells, dtype=np.int64), 2)
+    bf = boundary_facets_of(cells, 2)
+    return validate(Mesh(2, verts, cells, bf,
+                         np.array([EXTERIOR] * len(bf), dtype=object), **kw))
+
+
+def loop_square(n, side, diagonal):
+    """Quad by quad (x fastest); 'crisscross' appends each quad's centre
+    as it goes."""
+    xs = side * np.arange(n + 1) / n
+    X, Y = np.meshgrid(xs, xs, indexing="xy")
+    verts = np.column_stack([X.ravel(), Y.ravel()])
+    vid = lambda ix, iy: iy * (n + 1) + ix
+    cells, centers = [], []
+    h = side / n
+    for iy in range(n):
+        for ix in range(n):
+            v00, v10 = vid(ix, iy), vid(ix + 1, iy)
+            v01, v11 = vid(ix, iy + 1), vid(ix + 1, iy + 1)
+            if diagonal == "crisscross":
+                c = len(verts) + len(centers)
+                centers.append([(ix + 0.5) * h, (iy + 0.5) * h])
+                cells += [(v00, v10, c), (v10, v11, c), (v11, v01, c), (v01, v00, c)]
+            else:
+                cells += loop_quad_triangles(v00, v10, v01, v11, diagonal)
+    if centers:
+        verts = np.vstack([verts, np.array(centers)])
+    return loop_tagged_mesh(verts, cells)
+
+
+def loop_lshape(n, diagonal):
+    """Vertex by vertex outside the open upper right quadrant, then quad by
+    quad as in :func:`loop_square`."""
+    m = 2 * n
+    coords = -1.0 + np.arange(m + 1) / n
+    keep, verts = {}, []
+    for iy in range(m + 1):
+        for ix in range(m + 1):
+            x, y = coords[ix], coords[iy]
+            if x > 1e-12 and y > 1e-12:
+                continue
+            keep[(ix, iy)] = len(verts)
+            verts.append([x, y])
+    verts = np.array(verts)
+    cells, centers = [], []
+    for iy in range(m):
+        for ix in range(m):
+            cx, cy = coords[ix] + 0.5 / n, coords[iy] + 0.5 / n
+            if cx > 0 and cy > 0:
+                continue
+            v00, v10 = keep[(ix, iy)], keep[(ix + 1, iy)]
+            v01, v11 = keep[(ix, iy + 1)], keep[(ix + 1, iy + 1)]
+            if diagonal == "crisscross":
+                c = len(verts) + len(centers)
+                centers.append([cx, cy])
+                cells += [(v00, v10, c), (v10, v11, c), (v11, v01, c), (v01, v00, c)]
+            else:
+                cells += loop_quad_triangles(v00, v10, v01, v11, diagonal)
+    if centers:
+        verts = np.vstack([verts, np.array(centers)])
+    return loop_tagged_mesh(verts, cells)
+
+
+def loop_slit(n, diagonal):
+    """The shifted square, its slit vertices copied and swapped into the
+    cells above one at a time, and each boundary facet tagged by its own
+    geometric and vertex-set tests."""
+    base = loop_square(2 * n, 2.0, diagonal)
+    verts = base.vertices - 1.0
+    cells = base.cells.copy()
+    on_slit = ((np.abs(verts[:, 1]) < 1e-12) & (verts[:, 0] > 1e-12)
+               & (verts[:, 0] <= 1.0 + 1e-12))
+    slit = np.flatnonzero(on_slit)
+    slit = slit[np.argsort(verts[slit, 0])]
+    top_copy = {int(v): len(verts) + k for k, v in enumerate(slit)}
+    verts = np.vstack([verts, verts[slit]])
+    above = base.vertices[base.cells][:, :, 1].mean(axis=1) - 1.0 > 0
+    for v, t in top_copy.items():
+        for r in np.flatnonzero(above & (cells == v).any(axis=1)):
+            cells[r, cells[r] == v] = t
+    pairs = np.array([[v, top_copy[v]] for v in slit], dtype=np.int64)
+    tip = int(np.flatnonzero((np.abs(verts[:, 1]) < 1e-12)
+                             & (np.abs(verts[:, 0]) < 1e-12))[0])
+    tops = set(pairs[:, 1].tolist()) | {tip}
+    bottoms = set(pairs[:, 0].tolist()) | {tip}
+    mesh = loop_tagged_mesh(verts, cells, crack_pairs=pairs)
+    for k, facet in enumerate(mesh.boundary_facets):
+        pts = verts[facet]
+        if not ((np.abs(pts[:, 1]) < 1e-12).all()
+                and ((pts[:, 0] > -1e-12) & (pts[:, 0] <= 1.0 + 1e-12)).all()):
+            continue
+        if set(facet.tolist()) <= tops:
+            mesh.facet_tags[k] = SLIT_TOP
+        elif set(facet.tolist()) <= bottoms:
+            mesh.facet_tags[k] = SLIT_BOTTOM
+    return mesh
+
+
 def loop_boundary_facets(cells):
     facets = np.sort(np.concatenate(
         [np.delete(cells, i, axis=1) for i in range(cells.shape[1])]), axis=1)
@@ -214,6 +332,15 @@ class TestArrayConstruction:
             assert m.cells.dtype == ref.dtype
             assert np.array_equal(m.cells, ref)
             assert np.array_equal(m.boundary_facets, loop_boundary_facets(ref))
+
+    @pytest.mark.parametrize("diagonal", ["right", "left", "crisscross"])
+    def test_2d_builders_match_loop(self, diagonal):
+        for n in range(1, 17):
+            for side in (math.pi, 1e-3, 2.0):
+                fields_equal(build_structured_square(n, side, diagonal),
+                             loop_square(n, side, diagonal))
+            fields_equal(build_lshape(n, diagonal), loop_lshape(n, diagonal))
+            fields_equal(build_slit(n, diagonal), loop_slit(n, diagonal))
 
     def test_unique_rows_matches_numpy(self):
         rng = np.random.default_rng(0)

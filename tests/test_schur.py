@@ -200,6 +200,22 @@ def test_small_square_beyond_the_absolute_cutoff(elements, tmp_path):
                        rtol=1e-12)
 
 
+@pytest.mark.parametrize("elements", ["ned0", "p1"])
+def test_tiny_square_sparse_path_matches_dense_path(elements, monkeypatch):
+    # the SPD block A of the side-1e-5 square has a condition number near
+    # 1e12 from units alone, which no relative test may reject; the sparse
+    # path factors it
+    mesh = build_structured_square(16, 1e-5)
+    spec = FormulationSpec(kind="ls2d", elements_v=elements)
+    lam, sol = solve_spectrum(mesh, spec, 5)
+    assert sol.meta["path"] == "sparse"
+    assert _residuals(build_pencil(mesh, spec), sol, lam).max() <= 1e-8
+    monkeypatch.setattr(pencilmod, "_DENSE_SCHUR_LIMIT", 10**9)
+    dense, dsol = solve_spectrum(mesh, spec, 5)
+    assert dsol.meta["path"] == "dense"
+    assert np.abs(lam - dense).max() <= 1e-12 * np.abs(dense).max()
+
+
 def test_small_eps_matches_schur_reduce():
     # eps = 1e-6 moves every eigenvalue past 1e6.  Compared with the dense
     # Schur route: dense QZ drifts by about 5e-8 from both Schur routes here
