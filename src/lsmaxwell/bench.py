@@ -81,11 +81,11 @@ def compute_rates(errors, ns=None):
     rates = [None]
     for k in range(1, len(errors)):
         e0, e1 = errors[k - 1], errors[k]
-        if e0 == e1:
-            rates.append(0.0)
-            continue
         if e0 <= 0 or e1 <= 0:
             rates.append(None)
+            continue
+        if e0 == e1:
+            rates.append(0.0)
             continue
         factor = math.log(ns[k] / ns[k - 1]) if ns is not None else math.log(2.0)
         rates.append(math.log(e0 / e1) / factor)

@@ -395,27 +395,43 @@ def write_mesh_text(mesh):
 
 
 def read_mesh_text(text):
-    """Inverse of :func:`write_mesh_text`; the mesh read is checked by
-    :func:`validate`, so a file with a misoriented cell or a facet list
-    that does not match the cells raises :class:`MeshError`."""
-    rows = text.strip().splitlines()
-    dim, nv, nc, nf = (int(t) for t in rows[0].split())
-    verts = np.array([[float(t) for t in r.split()] for r in rows[1:1 + nv]])
-    cells = np.array([[int(t) for t in r.split()] for r in rows[1 + nv:1 + nv + nc]],
-                     dtype=np.int64)
-    facets, tags = [], []
-    for r in rows[1 + nv + nc:1 + nv + nc + nf]:
-        toks = r.split()
-        facets.append([int(t) for t in toks[:dim]])
-        tags.append(toks[dim])
-    rest = rows[1 + nv + nc + nf:]
-    cell_tags = crack_pairs = None
-    if rest and rest[0] == "cell_tags":
-        cell_tags = np.array([int(r) for r in rest[1:1 + nc]], dtype=np.int64)
-        rest = rest[1 + nc:]
-    if rest and rest[0].startswith("crack_pairs"):
-        k = int(rest[0].split()[1])
-        crack_pairs = np.array([[int(t) for t in r.split()] for r in rest[1:1 + k]],
-                               dtype=np.int64).reshape(k, 2)
-    return validate(Mesh(dim, verts, cells, np.array(facets, dtype=np.int64),
-                         np.array(tags, dtype=object), cell_tags, crack_pairs))
+    """Inverse of :func:`write_mesh_text`.  Malformed text (a header other
+    than 'dim nv nc nf', a missing, short or non-numeric row, a vertex
+    index outside 0..nv-1, or lines past the last section) raises
+    :class:`MeshError`, and so does a mesh that :func:`validate` rejects,
+    such as one with a misoriented cell or a facet list that does not match
+    the cells."""
+    rows = [r.split() for r in text.strip().splitlines()]
+    pos = 1
+
+    def table(count, width, dtype):
+        nonlocal pos
+        block, pos = rows[pos:pos + count], pos + count
+        if count < 0 or len(block) < count or any(len(r) != width for r in block):
+            raise MeshError(f"expected {count} rows of {width} entries "
+                            f"from line {pos - count + 1}")
+        return np.array(block, dtype=dtype).reshape(count, width)
+
+    try:
+        dim, nv, nc, nf = (int(t) for t in rows[0])
+        if dim not in (2, 3) or min(nv, nc) < 1 or nf < 0:
+            raise MeshError(f"bad header {' '.join(rows[0])!r}")
+        verts = table(nv, dim, float)
+        cells = table(nc, dim + 1, np.int64)
+        facets = table(nf, dim + 1, object)
+        tags, facets = facets[:, dim], facets[:, :dim].astype(np.int64)
+        cell_tags = crack_pairs = None
+        if pos < len(rows) and rows[pos] == ["cell_tags"]:
+            pos += 1
+            cell_tags = table(nc, 1, np.int64).ravel()
+        if pos < len(rows) and rows[pos][0] == "crack_pairs":
+            pos += 1
+            crack_pairs = table(int(rows[pos - 1][1]), 2, np.int64)
+    except (ValueError, IndexError) as e:
+        raise MeshError(f"malformed mesh text: {e}") from e
+    if pos < len(rows):
+        raise MeshError(f"unexpected text at line {pos + 1}")
+    for idx in (cells, facets, crack_pairs):
+        if idx is not None and len(idx) and not (0 <= idx.min() and idx.max() < nv):
+            raise MeshError("vertex index out of range")
+    return validate(Mesh(dim, verts, cells, facets, tags, cell_tags, crack_pairs))

@@ -30,6 +30,11 @@ _REG_SCALE = 1e-12
 # an infinite mode; blocks A up to this size are solved densely
 MU_INFINITE = 1e-10
 _DENSE_SCHUR_LIMIT = 250
+# D + B^T beyond _BLOCK_TOL max(max|B|, 1) is not roundoff; the dense
+# oracles deflate singular values up to _NULLSPACE_TOL times the largest and
+# count QZ entries of M up to _QZ_INFINITE |M| as infinite
+_BLOCK_TOL = 1e-13
+_NULLSPACE_TOL = _QZ_INFINITE = 1e-12
 
 
 class PencilError(RuntimeError):
@@ -123,7 +128,7 @@ class EigenSolution:
         return self.vectors[name]
 
 
-def validate_pencil(pencil, tol=1e-13):
+def validate_pencil(pencil):
     """Construction-time structure checks on the blocks K and M are formed
     from, whose off-diagonal symmetry holds by construction.
 
@@ -139,7 +144,7 @@ def validate_pencil(pencil, tol=1e-13):
         B, D = blocks["B"], blocks["D"]
         diff = (D + B.T).tocoo()
         dscale = max(np.abs(B.data).max() if B.nnz else 1.0, 1.0)
-        if diff.nnz and np.abs(diff.data).max() > tol * dscale:
+        if diff.nnz and np.abs(diff.data).max() > _BLOCK_TOL * dscale:
             raise PencilError("D != -B^T beyond roundoff")
     K = pencil.K
     scale = max(np.abs(K.data).max() if K.nnz else 1.0, 1.0)
@@ -221,11 +226,10 @@ def _real_candidates(lambdas, vectors):
     return out
 
 
-def filter_spectrum(pencil, lambdas, vectors, finite_cutoff=FINITE_CUTOFF,
-                    residual_tol=RESIDUAL_TOL):
-    """Keep genuine finite eigenpairs of a degenerate pencil.
+def filter_spectrum(pencil, lambdas, vectors, residual_tol=RESIDUAL_TOL):
+    """Genuine finite eigenpairs of a degenerate pencil, for the oracles.
 
-    Discards (with recorded reason): eigenvalues beyond ``finite_cutoff``
+    Discards (with recorded reason): eigenvalues beyond ``FINITE_CUTOFF``
     ('infinite'), pairs failing the residual bound ('residual'), vanishing
     primary components ('p_zero'), directions annihilated by M
     ('degenerate'), and residually complex pairs ('complex').
@@ -241,7 +245,7 @@ def filter_spectrum(pencil, lambdas, vectors, finite_cutoff=FINITE_CUTOFF,
         if isinstance(lam, complex):
             discarded.append(("complex", lam))
             continue
-        if abs(lam) > finite_cutoff:
+        if abs(lam) > FINITE_CUTOFF:
             discarded.append(("infinite", lam))
             continue
         nz = np.linalg.norm(z)
@@ -380,17 +384,17 @@ def _fix_gauge(pencil, P):
     multiplier rows.
 
     An edge potential q gets G^T q = 0: q - Gd phi with the discrete
-    gradient Gd and [[G^T Gd, m^T], [m, 0]] phi = [G^T q; 0], a mu-weighted
-    P1 Laplacian bordered by the mean row and factored once for every
-    column.  A scalar potential with a mean row m gets m.p = 0 by
-    subtracting the constant m.p / m.1.  The multipliers w and lm are zero.
+    gradient Gd and G^T Gd phi = G^T q, a mu-weighted P1 Laplacian whose
+    kernel (the constants) Gd annihilates, so one :func:`_refined_solver`
+    serves every column.  A scalar potential with a mean row m gets m.p = 0
+    by subtracting the constant m.p / m.1.  The multipliers w and lm are
+    zero.
     """
     blocks = pencil.blocks
     if "w" in pencil.ranges:
-        G, Gd, m = blocks["G"], blocks["Gd"], blocks["mean_row"]
-        S = sparse.bmat([[G.T @ Gd, m.T], [m, None]], format="csc")
-        rhs = np.vstack([G.T @ P, np.zeros((1, P.shape[1]))])
-        P = P - Gd @ factorize(S).solve(rhs)[:-1]
+        G, Gd = blocks["G"], blocks["Gd"]
+        solve, _, _ = _refined_solver(G.T @ Gd)
+        P = P - Gd @ solve(G.T @ P)
     elif "lm" in pencil.ranges:
         m = blocks["mean_row"].toarray().ravel()
         P = P - (m @ P) / m.sum()
@@ -406,30 +410,26 @@ def schur_eigs(pencil, nev=10, seed=0):
     R = B^T C^+ B and mu = 1/(1 + lambda).  The gauge rows bordered onto C
     (the mean row, the multiplier w) do not change R, since B^T annihilates
     ker(C), so only the plain C block is factored, through
-    :func:`_refined_solver`.  The infinite modes sit at mu = 0 (pairs with
-    mu <= MU_INFINITE * max mu), so the largest mu are the wanted pairs.
-    Both paths take exactly the ``nev`` largest mu, with no guard pairs.
-    Small blocks are solved densely with ``scipy.linalg.eigh(R, A)``.
-    Larger ones go through :func:`_lanczos` in the A inner product
-    (``eigsh`` with M = A) on the symmetric semidefinite
-    B^T (C + rho I)^{-1} B, one unrefined solve on the C factor per step;
-    the Ritz vectors U then get one Rayleigh-Ritz step with the exact R,
-    ``eigh(U^T R U, U^T A U)``, so every returned mu is a Rayleigh quotient
-    of R, accurate to second order in the shift.  The potential is recovered as p = -C^+ B u
-    and moved onto the gauge by :func:`_fix_gauge`; every pair still passes
-    :func:`filter_spectrum`'s residual gate on K and M, without the
-    absolute finite cutoff; a pair that fails it leaves fewer than ``nev``
-    and raises :class:`PencilError`.
+    :func:`_refined_solver`.  The infinite modes sit at mu = 0, so exactly
+    the ``nev`` largest mu are wanted, with no guard pairs.  Both paths end
+    in one Rayleigh-Ritz step with the exact R, ``eigh(U^T R U, U^T A U)``:
+    on the whole space (U = I) for small A, else on the Ritz vectors U of
+    :func:`_lanczos` in the A inner product (``eigsh`` with M = A) on the
+    semidefinite B^T (C + rho I)^{-1} B, one unrefined C solve per step.
+    The potential is p = -C^+ B u, moved onto the gauge by
+    :func:`_fix_gauge`.  One array gate rejects a pair with mu <=
+    MU_INFINITE * max mu ('infinite') or a residual on K and M above
+    ``RESIDUAL_TOL``; fewer than ``nev`` passing pairs raise
+    :class:`PencilError`, naming each rejected lambda, reason and residual.
 
     ``meta`` records ``path`` ('dense' or 'sparse'), the shift ``rho``,
-    ``refinement_steps`` of the C solves that form the dense R and recover
-    the potentials (the Lanczos steps take none), the block sizes
-    ``size_A`` and ``size_C``, the factor fill ``lu_nnz_A`` and
-    ``lu_nnz_C`` (L + U; the dense Cholesky triangle for A on the dense
-    path), ``op_applies`` (the Lanczos operator applied to one vector; the
-    columns of R on the dense path), and the Lanczos ``lanczos_k`` and
-    ``lanczos_ncv`` (k = nev whenever A has that many rows, on both paths;
-    ncv is None on the dense path).
+    ``refinement_steps`` of the C solves in the Rayleigh-Ritz step (the
+    Lanczos steps take none), the block sizes ``size_A`` and ``size_C``,
+    the factor fill ``lu_nnz_A`` and ``lu_nnz_C`` (L + U; the dense
+    Cholesky triangle for A on the dense path), ``op_applies`` (the Lanczos
+    operator applied to one vector; the columns of R on the dense path),
+    and the Lanczos ``lanczos_k`` and ``lanczos_ncv`` (k = nev whenever A
+    has that many rows, on both paths; ncv is None on the dense path).
     """
     try:
         A, B, C = (pencil.blocks[k] for k in ("A", "B", "C"))
@@ -445,11 +445,7 @@ def schur_eigs(pencil, nev=10, seed=0):
             "rho": rho, "refinement_steps": 1, "size_A": nU, "size_C": nC,
             "lu_nnz_C": _lu_nnz(chandle), "lanczos_k": k, "lanczos_ncv": None}
     if meta["path"] == "dense":
-        X = csolve(B.toarray())
-        R = B.T @ X
-        mu, U = scipy.linalg.eigh(0.5 * (R + R.T), A.toarray(),
-                                  subset_by_index=[nU - k, nU - 1])
-        Y = -(X @ U)
+        U, BU, AU = None, B.toarray(), A.toarray()
         meta.update(lu_nnz_A=nU * (nU + 1) // 2, op_applies=nU)
     else:
         ahandle = factorize(A)
@@ -460,29 +456,33 @@ def schur_eigs(pencil, nev=10, seed=0):
             return B.T @ chandle.solve(B @ v)
         R = spla.LinearOperator((nU, nU), matvec=r_matvec, dtype=float)
         Ainv = spla.LinearOperator((nU, nU), matvec=ahandle.solve, dtype=float)
-        (mu, U), ncv = _lanczos(R, k, nU, seed, M=A, Minv=Ainv, which="LA",
-                                tol=1e-10)
-        # Rayleigh-Ritz with the exact R on the Lanczos basis
-        BU = B @ U
-        X = csolve(BU)
-        mu, W = scipy.linalg.eigh(BU.T @ X, U.T @ (A @ U))
-        U, Y = U @ W, -(X @ W)
+        (_, U), ncv = _lanczos(R, k, nU, seed, M=A, Minv=Ainv, which="LA",
+                               tol=1e-10)
+        BU, AU = B @ U, U.T @ (A @ U)
         meta.update(lu_nnz_A=_lu_nnz(ahandle), op_applies=applies[0],
                     lanczos_ncv=ncv)
+    X = csolve(BU)
+    S = BU.T @ X
+    mu, W = scipy.linalg.eigh(0.5 * (S + S.T), AU,
+                              subset_by_index=[len(AU) - k, len(AU) - 1])
+    mu, W = mu[::-1], W[:, ::-1]  # ascending lambda
+    Z = np.vstack([W if U is None else U @ W, _fix_gauge(pencil, -(X @ W))])
     finite = mu > MU_INFINITE * mu.max(initial=0.0)
-    lam = np.full(len(mu), np.inf)
-    lam[finite] = 1.0 / mu[finite] - 1.0
-    Z = np.vstack([U, _fix_gauge(pencil, Y)])
-    sol = filter_spectrum(pencil, lam, Z, finite_cutoff=np.inf)
-    if len(sol.eigenvalues) < nev:
+    with np.errstate(divide="ignore", invalid="ignore"):
+        lam = 1.0 / mu - 1.0
+        res = np.linalg.norm(pencil.K @ Z - (pencil.M @ Z) * lam, axis=0) \
+            / ((np.abs(lam) + 1.0) * np.linalg.norm(Z, axis=0))
+    keep = finite & (res <= RESIDUAL_TOL)
+    if keep.sum() < nev:
         raise PencilError(
-            f"only {len(sol.eigenvalues)} finite eigenpairs passed filtering "
-            f"(requested {nev}); residuals: {sol.residuals}")
-    sol.meta.update(meta)
-    return sol
+            f"{keep.sum()} of {nev} Schur pairs passed ({k} computed, residual "
+            f"bound {RESIDUAL_TOL:g})" + "".join(
+                f"; lambda = {lam[j]:.6g}: {'' if finite[j] else 'infinite, '}"
+                f"residual {res[j]:.2e}" for j in np.flatnonzero(~keep)))
+    return EigenSolution(lam, pencil.split(Z), res, [], meta)
 
 
-def _common_nullspace_complement(Kd, Md, tol=1e-12):
+def _common_nullspace_complement(Kd, Md):
     """Orthonormal basis of the complement of {z : Kz = 0 and Mz = 0}.
 
     For the pencils built here K is symmetric and M^T annihilates the same
@@ -492,7 +492,7 @@ def _common_nullspace_complement(Kd, Md, tol=1e-12):
     S = np.vstack([Kd, Md])
     _, s, vt = np.linalg.svd(S, full_matrices=False)
     smax = s[0] if len(s) else 1.0
-    k = int((s <= tol * smax).sum())
+    k = int((s <= _NULLSPACE_TOL * smax).sum())
     if k == 0:
         return None, 0
     return vt[: len(s) - k].T, k
@@ -527,11 +527,11 @@ class DenseSpectrum:
     num_degenerate: int = 0
 
 
-def dense_qz(K, M, infinite_tol=1e-12):
+def dense_qz(K, M):
     """All generalized eigenvalues via dense QZ, classified finite/infinite.
 
     An eigenvalue counts as infinite when the M-side Schur diagonal entry
-    is at most ``infinite_tol`` times the norm of M.  Directions in the
+    is at most ``_QZ_INFINITE`` times the norm of M.  Directions in the
     common nullspace of K and M (a singular pencil's 0 = lambda*0 modes)
     are deflated first and reported separately.  Dense oracle only;
     refuses dimensions above ``DENSE_LIMIT``.
@@ -548,7 +548,7 @@ def dense_qz(K, M, infinite_tol=1e-12):
     alpha = np.diag(AA)
     beta = np.diag(BB)
     m_norm = max(np.linalg.norm(Md, "fro"), 1e-300)
-    infinite = np.abs(beta) <= infinite_tol * m_norm
+    infinite = np.abs(beta) <= _QZ_INFINITE * m_norm
     lam = alpha[~infinite] / beta[~infinite]
     real = np.abs(lam.imag) <= 1e-8 * (1.0 + np.abs(lam.real))
     return DenseSpectrum(np.sort(lam[real].real),

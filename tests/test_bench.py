@@ -66,6 +66,10 @@ class TestRates:
         rates = compute_rates([0.1, 0.0, 0.05])
         assert rates[1] is None and rates[2] is None
 
+    def test_vanishing_equal_errors_undefined(self):
+        # a config compared with itself has zero difference on every mesh
+        assert compute_rates([0.0, 0.0]) == [None, None]
+
     def test_generalized_ratio(self):
         # non-halving sequence: rate = log(e0/e1)/log(n1/n0)
         rates = compute_rates([0.9, 0.1], ns=[10, 30])

@@ -520,6 +520,25 @@ class TestExport:
         with pytest.raises(MeshError, match="oriented"):
             read_mesh_text("\n".join(rows) + "\n")
 
+    @pytest.mark.parametrize("case", ["empty", "header only", "half the lines",
+                                      "non-numeric coordinate",
+                                      "facet without tag", "non-integer header"])
+    def test_read_rejects_malformed_text(self, case):
+        # text from outside the program: every malformation is a MeshError,
+        # never an IndexError, TypeError or ValueError of the parser
+        rows = write_mesh_text(build_structured_square(2)).splitlines()
+        text = {
+            "empty": [],
+            "header only": rows[:1],
+            "half the lines": rows[:len(rows) // 2],
+            "non-numeric coordinate": rows[:1] + ["0 x"] + rows[2:],
+            "facet without tag": rows[:-1] + [" ".join(rows[-1].split()[:2])],
+            "non-integer header": ["2 9.5 8 8"] + rows[1:],
+        }[case]
+        with pytest.raises(MeshError) as info:
+            read_mesh_text("\n".join(text) + "\n")
+        assert type(info.value) is MeshError
+
     def test_read_exported(self):
         import lsmaxwell
         assert lsmaxwell.read_mesh_text is read_mesh_text

@@ -3,6 +3,7 @@ symmetric route (`schur_eigs`, reached through `bench.solve_spectrum`)
 against the dense QZ and Schur oracles."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -295,6 +296,54 @@ def test_no_bordered_factor(mesh, spec, path):
     assert sol.meta["size_C"] == pen.blocks["C"].shape[0]
     _, bordered, _ = pencilmod._refined_solver(_bordered(pen)[1])
     assert sol.meta["lu_nnz_C"] < pencilmod._lu_nnz(bordered)
+
+
+@pytest.mark.parametrize("const,value,reason", [
+    ("RESIDUAL_TOL", 1e-30, ""), ("MU_INFINITE", 0.5, "infinite, ")])
+def test_gate_names_every_rejected_pair(const, value, reason, path, monkeypatch):
+    # the gate's error lists each rejected pair with its lambda, its reason
+    # and its residual, not the residuals of the pairs it kept
+    pen = build_pencil(build_structured_square(8), FormulationSpec(kind="ls2d"))
+    sol = schur_eigs(pen, nev=6)
+    assert sol.meta["path"] == path and sol.discarded == []
+    mu = 1.0 / (1.0 + sol.eigenvalues)
+    out = mu <= value * mu.max() if const == "MU_INFINITE" else np.ones(6, bool)
+    assert out.any()
+    monkeypatch.setattr(pencilmod, const, value)
+    with pytest.raises(PencilError) as info:
+        schur_eigs(pen, nev=6)
+    msg = str(info.value)
+    assert msg.startswith(f"{6 - out.sum()} of 6 Schur pairs passed")
+    named = re.findall(r"lambda = (\S+): (infinite, )?residual (\S+?)(?:;|$)", msg)
+    assert len(named) == out.sum()
+    assert all(r == reason for _, r, _ in named)
+    assert np.allclose([float(lam) for lam, _, _ in named],
+                       sol.eigenvalues[out], rtol=1e-5)
+    assert np.allclose([float(res) for _, _, res in named],
+                       sol.residuals[out], rtol=1e-2)
+
+
+def test_gauge_factors_no_bordered_matrix(monkeypatch):
+    # the edge potential is gauged through the singular P1 Laplacian
+    # G^T Gd itself, whose kernel (the constants) Gd annihilates; no
+    # indefinite matrix bordered by the mean row is factored
+    mesh, spec, _ = CASES["ls3d-threefield"]
+    pen = build_pencil(mesh, spec)
+    n_w = pen.blocks["G"].shape[1]
+    factored = []
+    real_factorize = pencilmod.factorize
+
+    def factorize(K):
+        factored.append((K.shape, K.diagonal().min()))
+        return real_factorize(K)
+    monkeypatch.setattr(pencilmod, "factorize", factorize)
+    P = np.random.default_rng(0).standard_normal((pen.blocks["C"].shape[0], 3))
+    Z = pencilmod._fix_gauge(pen, P)
+    assert factored and all(shape == (n_w, n_w) and dmin > 0
+                            for shape, dmin in factored)
+    q = Z[:P.shape[0]]
+    assert (np.linalg.norm(pen.blocks["G"].T @ q, axis=0)
+            <= 1e-12 * np.linalg.norm(q, axis=0)).all()
 
 
 def test_missing_blocks_rejected():
