@@ -138,7 +138,18 @@ class StudyReport:
 def build_domain_mesh(config, n):
     """The mesh of ``config.domain`` at parameter n, with its interior
     perturbed when ``config.perturb_amplitude`` > 0 and the cells in
-    ``config.material_box`` tagged 1."""
+    ``config.material_box`` tagged 1.
+
+    A setting the domain's builder has no use for raises
+    :class:`StudyError`: a side other than pi on the L-shape and the slit,
+    whose size is fixed, and a diagonal other than 'right' on the cube.
+    """
+    if config.domain in ("lshape", "slit") and config.side != math.pi:
+        raise StudyError(f"the {config.domain} domain has a fixed size; "
+                         f"side = {config.side:g} does not apply")
+    if config.domain == "cube" and config.diagonal != "right":
+        raise StudyError(f"the cube mesh has one split; diagonal = "
+                         f"{config.diagonal!r} does not apply")
     if config.domain == "square":
         m = meshmod.build_structured_square(n, config.side, config.diagonal)
     elif config.domain == "lshape":
@@ -158,19 +169,18 @@ def build_domain_mesh(config, n):
 
 def solve_spectrum(mesh, spec, nev, seed=0):
     """Solve one formulation on one mesh; returns the ``nev`` smallest
-    physical eigenvalues, ascending, and the :class:`EigenSolution` of a
-    block pencil (None for a symmetric one).
+    physical eigenvalues, ascending, and their :class:`EigenSolution`.
 
     Block pencils go through the symmetric Schur reduction
     (:func:`schur_eigs`); the symmetric reference pencils through
     :func:`solve_symmetric`, which deflates their kernel basis, so no zero
-    eigenvalue is returned.  Too few eigenpairs raise :class:`PencilError`.
+    eigenvalue is returned.  Both end in the same residual gate: too few
+    eigenpairs passing it raise :class:`PencilError`.
     """
     pencil = build_pencil(mesh, spec)
-    if isinstance(pencil, BlockPencil):
-        sol = schur_eigs(pencil, nev=nev, seed=seed)
-        return sol.eigenvalues, sol
-    return solve_symmetric(pencil, nev=nev, seed=seed), None
+    sol = (schur_eigs if isinstance(pencil, BlockPencil) else solve_symmetric)(
+        pencil, nev=nev, seed=seed)
+    return sol.eigenvalues, sol
 
 
 def run_study(config):

@@ -93,7 +93,7 @@ def study_config_from(cfg, spec=None, spec_b=None, reference=None, nev=None):
     reference = reference or cfg.get("reference", domain)
     return StudyConfig(
         domain=domain, ns=ns, spec=spec, reference=reference, spec_b=spec_b,
-        nev=nev or int(cfg.get("nev", 10)),
+        nev=nev if nev is not None else int(cfg.get("nev", 10)),
         diagonal=cfg.get("diagonal", "right"), side=side,
         perturb_amplitude=float(cfg.get("perturb", 0.0)),
         perturb_seed=int(cfg.get("seed", 1)),
@@ -115,18 +115,11 @@ def cmd_solve(args):
     cfg = parse_config(args.config)
     config = study_config_from(cfg, nev=args.nev)
     m = build_domain_mesh(config, config.ns[0])
-    lam, sol = solve_spectrum(m, config.spec, config.nev)
-    if sol is not None:
-        text = spectrum_csv(sol)
-        log = discard_log(sol)
-    else:
-        text = "index,lambda,residual\n" + "".join(
-            f"{i},{v:.17g},\n" for i, v in enumerate(lam))
-        log = "discarded 0 candidate modes\n"
+    _, sol = solve_spectrum(m, config.spec, config.nev)
     with open(args.out, "w") as f:
-        f.write(text)
+        f.write(spectrum_csv(sol))
     with open(args.out + ".discards.txt", "w") as f:
-        f.write(log)
+        f.write(discard_log(sol))
     return 0
 
 
@@ -173,7 +166,8 @@ def make_parser():
 
     ps = sub.add_parser("solve", help="compute one spectrum")
     ps.add_argument("--config", required=True)
-    ps.add_argument("--nev", type=int, default=10)
+    ps.add_argument("--nev", type=int, default=None,
+                    help="eigenpairs to compute (default: the config's nev, else 10)")
     ps.add_argument("--out", required=True)
     ps.set_defaults(func=cmd_solve)
 

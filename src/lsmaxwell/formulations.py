@@ -192,7 +192,9 @@ def ls_maxwell_3d_twofield_nodal(mesh, spec):
     Both fields are continuous piecewise-linear vectors and no gauge
     condition is imposed, so the left-hand matrix is exactly singular on
     curl-free directions; the pencil is flagged as outside the covered
-    theory and relies on the degenerate-mode filtering downstream.
+    theory.  :func:`~lsmaxwell.pencil.schur_eigs` solves it like the gauged
+    pencils: its refined solve with the singular block C is only asked for
+    right-hand sides B u, which lie in range(C), so no filter is needed.
     """
     return _ls_pencil(mesh, spec, "ls3d_twofield_nodal")
 
@@ -242,15 +244,10 @@ def curlcurl_edge(mesh, coeff=None):
 
 
 def build_pencil(mesh, spec):
-    """Dispatch a :class:`FormulationSpec` to its builder."""
-    if spec.kind == "ls2d":
-        return ls_maxwell_2d(mesh, spec)
-    if spec.kind == "ls3d_threefield":
-        return ls_maxwell_3d_threefield(mesh, spec)
-    if spec.kind == "ls3d_twofield_nodal":
-        return ls_maxwell_3d_twofield_nodal(mesh, spec)
+    """Dispatch a :class:`FormulationSpec` to its builder; the spec has
+    already rejected an unknown kind."""
+    if spec.kind in _LS_KINDS:
+        return _ls_pencil(mesh, spec, spec.kind)
     if spec.kind == "galerkin_laplace":
         return galerkin_laplace(mesh, spec.bc)
-    if spec.kind == "curlcurl_edge":
-        return curlcurl_edge(mesh, spec.coeff)
-    raise AssemblyError(f"unknown formulation kind {spec.kind!r}")
+    return curlcurl_edge(mesh, spec.coeff)

@@ -104,14 +104,21 @@ class SymmetricPencil:
     def size(self):
         return self.K.shape[0]
 
+    def split(self, vec):
+        return {"u": vec}
+
 
 @dataclass
 class EigenSolution:
-    """Filtered finite eigenpairs of a block pencil.
+    """Finite eigenpairs of a block or a symmetric pencil.
 
     Eigenvalues ascend; every kept pair satisfies the residual bound
     ||K z - lambda M z|| / ((|lambda| + 1) ||z||) <= residual_tol.
-    ``discarded`` records (reason, lambda) for filtered candidates.
+    ``vectors`` maps each field of the pencil (its blocks; 'u' for a
+    symmetric pencil) to the rows of the eigenvectors, one per column.
+    ``discarded`` records (reason, lambda) for candidates the Arnoldi
+    oracle filtered; the production solvers keep every pair they return
+    or raise, so theirs is empty.
     """
 
     eigenvalues: np.ndarray
@@ -402,6 +409,31 @@ def _fix_gauge(pencil, P):
     return np.vstack([P, np.zeros((extra, P.shape[1]))])
 
 
+def _gated_solution(pencil, lam, Z, nev, label, meta, finite=True):
+    """The gate both production solvers end in: the :class:`EigenSolution`
+    of the pairs (lam, columns of Z), or a :class:`PencilError`.
+
+    One array pass computes the residuals ||K z - lambda M z|| / ((|lambda|
+    + 1) ||z||).  A pair is rejected when ``finite`` is False for it
+    ('infinite') or its residual exceeds ``RESIDUAL_TOL``; fewer than
+    ``nev`` passing pairs raise an error that names each rejected lambda,
+    reason and residual.  A returned solution keeps every pair and has
+    ``discarded == []``.
+    """
+    finite = np.broadcast_to(finite, lam.shape)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        res = np.linalg.norm(pencil.K @ Z - (pencil.M @ Z) * lam, axis=0) \
+            / ((np.abs(lam) + 1.0) * np.linalg.norm(Z, axis=0))
+    keep = finite & (res <= RESIDUAL_TOL)
+    if keep.sum() < nev:
+        raise PencilError(
+            f"{keep.sum()} of {nev} {label} pairs passed ({len(lam)} computed, "
+            f"residual bound {RESIDUAL_TOL:g})" + "".join(
+                f"; lambda = {lam[j]:.6g}: {'' if finite[j] else 'infinite, '}"
+                f"residual {res[j]:.2e}" for j in np.flatnonzero(~keep)))
+    return EigenSolution(lam, pencil.split(Z), res, [], meta)
+
+
 def schur_eigs(pencil, nev=10, seed=0):
     """Smallest finite eigenpairs of an LS block pencil through the
     symmetric Schur reduction.
@@ -417,10 +449,11 @@ def schur_eigs(pencil, nev=10, seed=0):
     :func:`_lanczos` in the A inner product (``eigsh`` with M = A) on the
     semidefinite B^T (C + rho I)^{-1} B, one unrefined C solve per step.
     The potential is p = -C^+ B u, moved onto the gauge by
-    :func:`_fix_gauge`.  One array gate rejects a pair with mu <=
-    MU_INFINITE * max mu ('infinite') or a residual on K and M above
-    ``RESIDUAL_TOL``; fewer than ``nev`` passing pairs raise
-    :class:`PencilError`, naming each rejected lambda, reason and residual.
+    :func:`_fix_gauge`.  The gate :func:`_gated_solution`, shared with
+    :func:`solve_symmetric`, rejects a pair with mu <= MU_INFINITE * max mu
+    ('infinite') or a residual on K and M above ``RESIDUAL_TOL``; fewer than
+    ``nev`` passing pairs raise :class:`PencilError`, naming each rejected
+    lambda, reason and residual.
 
     ``meta`` records ``path`` ('dense' or 'sparse'), the shift ``rho``,
     ``refinement_steps`` of the C solves in the Rayleigh-Ritz step (the
@@ -467,19 +500,10 @@ def schur_eigs(pencil, nev=10, seed=0):
                               subset_by_index=[len(AU) - k, len(AU) - 1])
     mu, W = mu[::-1], W[:, ::-1]  # ascending lambda
     Z = np.vstack([W if U is None else U @ W, _fix_gauge(pencil, -(X @ W))])
-    finite = mu > MU_INFINITE * mu.max(initial=0.0)
-    with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(divide="ignore"):
         lam = 1.0 / mu - 1.0
-        res = np.linalg.norm(pencil.K @ Z - (pencil.M @ Z) * lam, axis=0) \
-            / ((np.abs(lam) + 1.0) * np.linalg.norm(Z, axis=0))
-    keep = finite & (res <= RESIDUAL_TOL)
-    if keep.sum() < nev:
-        raise PencilError(
-            f"{keep.sum()} of {nev} Schur pairs passed ({k} computed, residual "
-            f"bound {RESIDUAL_TOL:g})" + "".join(
-                f"; lambda = {lam[j]:.6g}: {'' if finite[j] else 'infinite, '}"
-                f"residual {res[j]:.2e}" for j in np.flatnonzero(~keep)))
-    return EigenSolution(lam, pencil.split(Z), res, [], meta)
+    return _gated_solution(pencil, lam, Z, nev, "Schur", meta,
+                           finite=mu > MU_INFINITE * mu.max(initial=0.0))
 
 
 def _common_nullspace_complement(Kd, Md):
@@ -622,46 +646,65 @@ def coercivity_check(pencil):
 
 
 def solve_symmetric(sym, nev=10, seed=0):
-    """The ``nev`` smallest eigenvalues, ascending, of a symmetric pencil
-    without its kernel ``range(kernel_basis)``.
+    """The ``nev`` smallest eigenpairs, ascending, of a symmetric pencil
+    without its kernel ``range(kernel_basis)``, as a gated
+    :class:`EigenSolution`.
 
     Shift-invert Lanczos (:func:`_lanczos`, k = ``nev``) on K - sigma M,
     factored once, with sigma = SYMMETRIC_SHIFT (pi / extent)^2 on the
     scale of the spectrum, where extent is the largest side of the mesh's
-    bounding box; at extent pi sigma is -0.1.  The kernel basis G is deflated as in Arbenz and Geus
-    (Appl. Numer. Math. 2005) by the M-orthogonal projection P x = x - G
-    (G^T M G)^{-1} G^T M x: the operator is P (K - sigma M)^{-1} P^T, where
-    P^T keeps kernel roundoff from being amplified.  Small pencils go to dense
-    ``eigh``, which drops exactly ``kernel_basis.shape[1]`` values.
+    bounding box; at extent pi sigma is -0.1.  The kernel basis G is
+    deflated as in Arbenz and Geus (Appl. Numer. Math. 2005) by the
+    M-orthogonal projection P x = x - G (G^T M G)^{-1} G^T M x: the operator
+    is P (K - sigma M)^{-1} P^T, where P^T keeps kernel roundoff from being
+    amplified, so the eigenvectors satisfy G^T M z = 0.  Small pencils go to
+    dense ``eigh``, which skips exactly ``kernel_basis.shape[1]`` values.
+    Both paths end in :func:`_gated_solution`, the gate of
+    :func:`schur_eigs`: every pair's residual on K and M is at most
+    ``RESIDUAL_TOL``, or :class:`PencilError` names the pairs that fail it.
+
+    ``vectors`` is {'u': Z}.  ``meta`` records ``path`` ('dense' or
+    'sparse'), ``kernel_dim`` (the columns of G) and, on the sparse path
+    only (None on the dense one), the shift ``sigma``, the fill ``lu_nnz``
+    (L + U) of K - sigma M, ``op_applies`` (the deflated solve applied to
+    one vector) and the Lanczos ``lanczos_k`` and ``lanczos_ncv``.
     """
     G, K, M = sym.kernel_basis, sym.K, sym.M
     n, nker = sym.size, 0 if G is None else G.shape[1]
     if n - nker < nev:
         raise PencilError(f"only {n - nker} nonzero eigenvalues exist "
                           f"(requested {nev})")
+    meta = {"path": "dense", "kernel_dim": nker} | dict.fromkeys(
+        ("sigma", "lu_nnz", "op_applies", "lanczos_k", "lanczos_ncv"))
     if n <= max(_DENSE_SOLVE_LIMIT, nker + nev + 2):
-        lam = scipy.linalg.eigh(K.toarray(), M.toarray(), eigvals_only=True)
-        return lam[nker:nker + nev]
+        lam, Z = scipy.linalg.eigh(K.toarray(), M.toarray(),
+                                   subset_by_index=[nker, nker + nev - 1])
+        return _gated_solution(sym, lam, Z, nev, "symmetric", meta)
     extent = np.ptp(sym.space[0].mesh.vertices, axis=0).max()
     sigma = SYMMETRIC_SHIFT * (np.pi / extent) ** 2
-    handle = factorize(K - sigma * M)
-    solve = handle.solve
+    handle, applies = factorize(K - sigma * M), [0]
     if G is not None:
         MG = (M @ G).tocsc()
         gram = factorize(G.T @ MG)
 
-        def solve(b):
-            x = handle.solve(b - MG @ gram.solve(G.T @ b))
-            return x - G @ gram.solve(MG.T @ x)
-    lam, _ = _lanczos(K, nev, n - nker, seed, M=M, sigma=sigma,
-                      OPinv=spla.LinearOperator((n, n), matvec=solve,
-                                                dtype=float),
-                      return_eigenvectors=False)
-    return np.sort(lam)
+    def solve(b):
+        applies[0] += 1
+        if G is None:
+            return handle.solve(b)
+        x = handle.solve(b - MG @ gram.solve(G.T @ b))
+        return x - G @ gram.solve(MG.T @ x)
+    (lam, Z), ncv = _lanczos(K, nev, n - nker, seed, M=M, sigma=sigma,
+                             OPinv=spla.LinearOperator((n, n), matvec=solve,
+                                                       dtype=float))
+    order = np.argsort(lam)
+    meta.update(path="sparse", sigma=sigma, lu_nnz=_lu_nnz(handle),
+                op_applies=applies[0], lanczos_k=nev, lanczos_ncv=ncv)
+    return _gated_solution(sym, lam[order], Z[:, order], nev, "symmetric", meta)
 
 
 def spectrum_csv(solution):
-    """CSV export 'index,lambda,residual' of a filtered solution."""
+    """CSV export 'index,lambda,residual' of an :class:`EigenSolution`, one
+    row per pair with its residual on K and M."""
     lines = ["index,lambda,residual"]
     for i, (lam, r) in enumerate(zip(solution.eigenvalues, solution.residuals)):
         lines.append(f"{i},{lam:.17g},{r:.3e}")

@@ -267,13 +267,13 @@ def test_c10_oracle_equivalence():
     # symmetric reference pencils against the dense solver
     m8 = build_structured_square(8)
     gal = galerkin_laplace(m8)
-    lam = solve_symmetric(gal, nev=6)
+    lam = solve_symmetric(gal, nev=6).eigenvalues
     dense = np.sort(scipy.linalg.eigh(gal.K.toarray(), gal.M.toarray(),
                                       eigvals_only=True))
     dense = dense[np.abs(dense) > 1e-8]
     assert np.abs(lam[np.abs(lam) > 1e-8][:5] - dense[:5]).max() < 1e-9
     cc = curlcurl_edge(m8)
-    lam_cc = solve_symmetric(cc, nev=5)
+    lam_cc = solve_symmetric(cc, nev=5).eigenvalues
     dense_cc = np.sort(scipy.linalg.eigh(cc.K.toarray(), cc.M.toarray(),
                                          eigvals_only=True))
     dense_cc = dense_cc[dense_cc > 1e-8 * dense_cc.max()]

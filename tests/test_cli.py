@@ -130,6 +130,65 @@ class TestSolveCommand:
         assert "(requested 10)" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_config_nev_without_flag(self, tmp_path):
+        # the config's nev = 3 counts when --nev is not given
+        cfg = write(tmp_path, "run.cfg", BASE_CFG)
+        out = tmp_path / "spec.csv"
+        assert main(["solve", "--config", cfg, "--out", str(out)]) == 0
+        assert len(out.read_text().strip().splitlines()) == 4
+
+    def test_nev_zero_exits_2(self, tmp_path, capsys):
+        cfg = write(tmp_path, "run.cfg", BASE_CFG)
+        out = tmp_path / "spec.csv"
+        assert main(["solve", "--config", cfg, "--nev", "0", "--out", str(out)]) == 2
+        assert "nev must be >= 1" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("formulation", ["curlcurl_edge", "galerkin_laplace"])
+    def test_symmetric_rows_carry_residuals(self, tmp_path, formulation):
+        # the reference pencils pass the same residual gate as the
+        # least-squares ones, and the CSV shows every residual
+        cfg = write(tmp_path, "ref.cfg",
+                    f"domain = square\nn = 8\nformulation = {formulation}\n")
+        out = tmp_path / "spec.csv"
+        assert main(["solve", "--config", cfg, "--nev", "5", "--out", str(out)]) == 0
+        rows = out.read_text().strip().splitlines()[1:]
+        assert len(rows) == 5
+        assert all(float(r.split(",")[2]) <= 1e-8 for r in rows)
+        log = (tmp_path / "spec.csv.discards.txt").read_text()
+        assert log == "discarded 0 candidate modes\n"
+
+
+class TestIgnoredSettings:
+    # a setting the domain's mesh builder cannot use fails the run instead
+    # of being dropped
+    CFGS = {"lshape-side": "domain = lshape\nn = 2\nside = 2\nnev = 2\n",
+            "slit-side": "domain = slit\nn = 1\nside = 2\nnev = 2\n"
+                        "formulation = galerkin_laplace\n",
+            "cube-diagonal": "domain = cube\nn = 1\ndiagonal = left\nnev = 2\n"
+                             "formulation = ls3d_threefield\nelements_q = ned0\n"}
+
+    @pytest.mark.parametrize("args", [["lshape", "--side", "2"],
+                                      ["slit", "--side", "2"],
+                                      ["cube", "--diagonal", "left"]],
+                             ids=["lshape-side", "slit-side", "cube-diagonal"])
+    def test_mesh(self, tmp_path, capsys, args):
+        out = tmp_path / "m.txt"
+        assert main(["mesh", *args, "--n", "1", "--out", str(out)]) == 2
+        assert "does not apply" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["solve", "study", "compare"])
+    @pytest.mark.parametrize("name", sorted(CFGS))
+    def test_config_commands(self, tmp_path, capsys, name, command):
+        cfg = write(tmp_path, "c.cfg", self.CFGS[name])
+        out = tmp_path / "out.csv"
+        inputs = (["--config-a", cfg, "--config-b", cfg] if command == "compare"
+                  else ["--config", cfg])
+        assert main([command, *inputs, "--out", str(out)]) == 2
+        assert "does not apply" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestStudyCommand:
     def test_csv_report(self, tmp_path):

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -16,8 +17,8 @@ from lsmaxwell.mesh import (Mesh, boundary_facets_of, build_lshape,
                             build_structured_square, perturb_interior,
                             tag_subdomain)
 from lsmaxwell import pencil
-from lsmaxwell.pencil import (dense_qz, factorize, shift_invert_eigs,
-                              solve_symmetric)
+from lsmaxwell.pencil import (PencilError, dense_qz, factorize,
+                              shift_invert_eigs, solve_symmetric)
 
 QUARTER = ((0.0, 0.0), (math.pi / 2, math.pi / 2))
 
@@ -268,10 +269,55 @@ class TestSymmetricSolver:
                             lambda A, **kw: factored.append(A.shape) or factorize(A, **kw))
         monkeypatch.setattr(pencil, "_DENSE_SOLVE_LIMIT",
                             pen.size if path == "dense" else 0)
-        lam = solve_symmetric(pen, nev=8)
+        sol = solve_symmetric(pen, nev=8)
+        lam = sol.eigenvalues
         want = full[nker:nker + 8]
         assert (np.abs(lam - want) <= 1e-9 * (1 + np.abs(want))).all()
         assert bool(factored) == (path == "sparse")
+        # the pairs carry their vectors through the residual gate
+        meta = sol.meta
+        assert meta["path"] == path and meta["kernel_dim"] == nker
+        lanczos = [meta[k] for k in ("sigma", "lu_nnz", "op_applies",
+                                     "lanczos_k", "lanczos_ncv")]
+        if path == "dense":
+            assert lanczos == [None] * 5
+        else:
+            assert meta["sigma"] < 0 < meta["lu_nnz"]
+            assert meta["lanczos_k"] == 8 < meta["lanczos_ncv"] <= meta["op_applies"]
+        assert sol.discarded == [] and list(sol.vectors) == ["u"]
+        Z = sol.vectors["u"]
+        res = np.linalg.norm(pen.K @ Z - (pen.M @ Z) * lam, axis=0) \
+            / ((np.abs(lam) + 1.0) * np.linalg.norm(Z, axis=0))
+        assert res.max() <= pencil.RESIDUAL_TOL
+        assert np.allclose(res, sol.residuals, rtol=1e-6, atol=1e-16)
+        if nker:
+            # the vectors are deflated: M-orthogonal to the kernel basis
+            G = pen.kernel_basis
+            assert np.linalg.norm(G.T @ (pen.M @ Z)) <= 1e-12 * np.linalg.norm(Z) \
+                * sparse.linalg.norm(G) * sparse.linalg.norm(pen.M)
+
+    @pytest.mark.parametrize("path", ["dense", "sparse"])
+    def test_gate_names_every_rejected_pair(self, path, monkeypatch):
+        # the symmetric solver ends in the Schur solver's gate: with a bound
+        # no pair can meet, the error names every pair, its residual and
+        # the request
+        pen = curlcurl_edge(build_structured_square(8))
+        monkeypatch.setattr(pencil, "_DENSE_SOLVE_LIMIT",
+                            pen.size if path == "dense" else 0)
+        sol = solve_symmetric(pen, nev=5)
+        assert sol.meta["path"] == path
+        monkeypatch.setattr(pencil, "RESIDUAL_TOL", 1e-30)
+        with pytest.raises(PencilError) as info:
+            solve_symmetric(pen, nev=5)
+        msg = str(info.value)
+        assert msg.startswith("0 of 5 symmetric pairs passed (5 computed, "
+                              "residual bound 1e-30)")
+        named = re.findall(r"lambda = (\S+): residual (\S+?)(?:;|$)", msg)
+        assert len(named) == 5
+        assert np.allclose([float(lam) for lam, _ in named], sol.eigenvalues,
+                           rtol=1e-5)
+        assert np.allclose([float(res) for _, res in named], sol.residuals,
+                           rtol=1e-2)
 
     @pytest.mark.parametrize("side", [10.0**e for e in range(-5, 6)])
     @pytest.mark.parametrize("build", [curlcurl_edge, galerkin_laplace])
@@ -284,7 +330,7 @@ class TestSymmetricSolver:
         full = scipy.linalg.eigh(pen.K.toarray(), pen.M.toarray(),
                                  eigvals_only=True)
         want = full[nker:nker + 8]
-        lam = solve_symmetric(pen, nev=8)
+        lam = solve_symmetric(pen, nev=8).eigenvalues
         assert np.abs(lam - want).max() <= 1e-9 * np.abs(want).max()
 
 
