@@ -7,7 +7,9 @@ row/column elimination, never by penalty.  On affine cells with
 piecewise-constant coefficients every form is assembled through reference
 tensors (Kirby & Logg, ACM TOMS 32(3), 2006): the quadrature is contracted
 once per form on the reference cell, and each cell adds one small
-contraction with its affine map.
+contraction with its affine map.  The reference tables are computed once
+per process, keyed by form, families and dimension; everything that depends
+on a mesh is shared within one pencil build only.
 """
 
 from __future__ import annotations
@@ -57,8 +59,9 @@ class CoefficientField:
         return cls()
 
     def _per_cell(self, table, mesh):
+        tags, inv = np.unique(mesh.cell_tags, return_inverse=True)
         try:
-            return np.array([table[int(t)] for t in mesh.cell_tags])
+            return np.array([table[int(t)] for t in tags])[inv]
         except KeyError as e:
             raise AssemblyError(f"no coefficient for cell tag {e}") from None
 
@@ -347,6 +350,31 @@ _FORM_TABLE = {
 _QUAD_DEGREE = 4
 
 
+# reference tables keyed by the form, the families and the dimension, which
+# is all they depend on; filled on first use and kept for the process, with
+# read-only arrays, since every build shares them
+_REF_TABLES = {}
+
+
+def _reference(key, make):
+    """``make()``, computed once per process for ``key``."""
+    if key not in _REF_TABLES:
+        _REF_TABLES[key] = make()
+    return _REF_TABLES[key]
+
+
+def _contract(spec, test_space, trial_space):
+    """(R, test map, trial map) of a form: the quadrature contracted once,
+    R[a, b, n, m] = sum_q w_q T[q, n, a] U[q, m, b], and the per-cell maps
+    of :func:`_quantity`."""
+    quad = elements.quadrature(test_space.mesh.dim, _QUAD_DEGREE)
+    ref_t, map_t = _quantity(test_space, spec.test, quad.cartesian)
+    ref_u, map_u = _quantity(trial_space, spec.trial, quad.cartesian)
+    R = np.ascontiguousarray(np.einsum("q,qna,qmb->abnm", quad.weights, ref_t, ref_u))
+    R.flags.writeable = False
+    return R, map_t, map_u
+
+
 def assemble(form, test_space, trial_space, coeff=None):
     """Assemble a global sparse matrix for one of the supported bilinear
     forms.
@@ -376,11 +404,8 @@ def assemble(form, test_space, trial_space, coeff=None):
         if got not in allowed:
             raise AssemblyError(f"form {form!r} incompatible with {got} space")
 
-    # the quadrature is contracted once: R[a, b, n, m] = sum_q w_q T[q, n, a] U[q, m, b]
-    quad = elements.quadrature(mesh.dim, _QUAD_DEGREE)
-    ref_t, map_t = _quantity(test_space, spec.test, quad.cartesian)
-    ref_u, map_u = _quantity(trial_space, spec.trial, quad.cartesian)
-    R = np.ascontiguousarray(np.einsum("q,qna,qmb->abnm", quad.weights, ref_t, ref_u))
+    R, map_t, map_u = _reference((form, test_space.family, trial_space.family, mesh.dim),
+                                 lambda: _contract(spec, test_space, trial_space))
     nt, nu = test_space.cell_dofs.shape[1], trial_space.cell_dofs.shape[1]
     coef_all = np.broadcast_to(spec.coef(coeff, mesh), (mesh.num_cells,))
 
@@ -425,12 +450,17 @@ def _assemble_mean_row(space, coeff):
     if space.kind != "scalar":
         raise AssemblyError("mu_mean_row requires a scalar space")
     mesh = space.mesh
-    quad = elements.quadrature(mesh.dim, _QUAD_DEGREE)
-    vals, _ = elements.eval_lagrange(space.degree, mesh.dim, quad.cartesian)
-    ref = quad.weights @ vals
+
+    def integrals():
+        quad = elements.quadrature(mesh.dim, _QUAD_DEGREE)
+        vals, _ = elements.eval_lagrange(space.degree, mesh.dim, quad.cartesian)
+        ref = quad.weights @ vals
+        ref.flags.writeable = False
+        return ref
+    ref = _reference(("mu_mean_row", space.family, mesh.dim), integrals)
     _, detJ, _ = _cached(mesh, "geometry", lambda: _geometry(mesh))
-    out = np.zeros(space.num_dofs)
-    np.add.at(out, space.cell_dofs, (coeff.mu_on(mesh) * detJ)[:, None] * ref)
+    out = np.bincount(space.cell_dofs.ravel(), minlength=space.num_dofs,
+                      weights=((coeff.mu_on(mesh) * detJ)[:, None] * ref).ravel())
     row = sparse.csr_matrix(out[None, :])
     row.eliminate_zeros()
     return row
@@ -440,14 +470,29 @@ def eliminate_constraints(matrix, test_space, trial_space):
     """Remove constrained rows and columns (homogeneous essential BCs).
 
     Returns (reduced matrix, free test dofs, free trial dofs); the dof
-    arrays translate reduced indices back to the full numbering.  A fully
-    constrained space yields an empty (degenerate) block.
+    arrays translate reduced indices back to the full numbering.  The
+    reduced matrix is a new CSR matrix that keeps the stored order of the
+    entries, as ``matrix.tocsr()[tf][:, uf]`` does.  A fully constrained
+    space yields an empty (degenerate) block.
     """
     tf = test_space.free_dofs()
     uf = trial_space.free_dofs()
     if matrix.shape != (test_space.num_dofs, trial_space.num_dofs):
         raise AssemblyError("matrix shape does not match the spaces")
-    red = matrix.tocsr()[tf][:, uf]
+    mat = matrix.tocsr()
+    # one pass over the entries, in their stored order, through the reduced
+    # index of every trial dof (-1 if constrained) and the free test rows
+    index = np.full(trial_space.num_dofs, -1, dtype=mat.indices.dtype)
+    index[uf] = np.arange(len(uf))
+    free_row = np.zeros(test_space.num_dofs, dtype=bool)
+    free_row[tf] = True
+    cols = index.take(mat.indices)
+    keep = np.repeat(free_row, np.diff(mat.indptr)) & (cols >= 0)
+    kept = np.flatnonzero(keep)
+    # the kept entries before the end of each free row
+    indptr = np.concatenate(([0], np.searchsorted(kept, mat.indptr[tf + 1])))
+    red = sparse.csr_matrix((mat.data.take(kept), cols.take(kept), indptr),
+                            shape=(len(tf), len(uf)))
     return red, tf, uf
 
 

@@ -113,8 +113,8 @@ def _ls_pencil(mesh, spec, kind):
     gradient on the free dofs, maps w to gradients, which C and B^T
     annihilate.  ``bc='mixed_slit'`` constrains V on the exterior only and
     p on the slit instead of the mean condition.  K is formed once from
-    its lower blocks, keyed by (row field, column field), and their
-    transposes.
+    one block of each symmetric pair, keyed by (row field, column field),
+    and the transposes of the off-diagonal ones.
     """
     dim, v_family, q_family, gauge, bc = _LS_KINDS[kind]
     if mesh.dim != dim:
@@ -144,7 +144,7 @@ def _ls_pencil(mesh, spec, kind):
         blocks = {"A": A, "B": B, "C": C, "D": D}
         spaces = {"u": (V, vf), "p": (Q, qf)}
         sizes = {"u": A.shape[0], "p": C.shape[0]}
-        lower = {("u", "u"): A, ("p", "u"): B, ("p", "p"): C}
+        half = {("u", "u"): A, ("p", "u"): B, ("p", "p"): C}
         if gauge == "multiplier":
             if Q.kind == "edge":
                 W = build_space(mesh, "p1", None)
@@ -152,25 +152,39 @@ def _ls_pencil(mesh, spec, kind):
                 G, _, wf = eliminate_constraints(G, Q, W)
                 m = assemble("mu_mean_row", None, W, coeff)[:, wf]
                 blocks["G"], spaces["w"], sizes["w"] = G, (W, wf), len(wf)
-                blocks["Gd"] = discrete_gradient(Q, W)[qf][:, wf].tocsr()
-                lower[("w", "p")], lower[("lm", "w")] = G.T, m
+                blocks["Gd"], _, _ = eliminate_constraints(discrete_gradient(Q, W), Q, W)
+                half[("p", "w")], half[("lm", "w")] = G, m
             else:
                 m = assemble("mu_mean_row", None, Q, coeff)[:, qf]
-                lower[("lm", "p")] = m
+                half[("lm", "p")] = m
             blocks["mean_row"], sizes["lm"] = m, 1
-    grid = lower | {(c, r): S.T for (r, c), S in lower.items() if r != c}
-    K = sparse.bmat([[grid.get((r, c)) for c in sizes] for r in sizes], format="csr")
-    D_coo = D.tocoo()
-    M = sparse.csr_matrix((D_coo.data, (D_coo.row, D_coo.col + sizes["u"])),
-                          shape=K.shape)
     ranges, start = {}, 0
     for name, size in sizes.items():
         ranges[name] = slice(start, start + size)
         start += size
+    K = _from_blocks(ranges, half, symmetric=True)
+    M = _from_blocks(ranges, {("u", "p"): D})
     pencil = BlockPencil(K, M, ranges, primary="p", blocks=blocks, spaces=spaces,
                          flags={"kind": kind, "bc": bc, "gauge": gauge,
                                 "theory_covered": kind != "ls3d_twofield_nodal"})
     return validate_pencil(pencil)
+
+
+def _from_blocks(ranges, grid, symmetric=False):
+    """The CSR matrix of the CSR blocks ``grid[(row field, column field)]``
+    at the offsets of ``ranges``, with the transpose of each off-diagonal
+    block mirrored when ``symmetric``; one COO-to-CSR pass over all
+    entries."""
+    parts = []
+    for (r, c), S in grid.items():
+        i = np.repeat(np.arange(ranges[r].start, ranges[r].stop), np.diff(S.indptr))
+        j = S.indices + ranges[c].start
+        parts.append((i, j, S.data))
+        if symmetric and r != c:
+            parts.append((j, i, S.data))
+    i, j, data = (np.concatenate(x) for x in zip(*parts))
+    n = max(sl.stop for sl in ranges.values())
+    return sparse.csr_matrix((data, (i, j)), shape=(n, n))
 
 
 def ls_maxwell_2d(mesh, spec):

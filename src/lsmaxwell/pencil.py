@@ -444,8 +444,11 @@ def schur_eigs(pencil, nev=10, seed=0):
     ker(C), so only the plain C block is factored, through
     :func:`_refined_solver`.  The infinite modes sit at mu = 0, so exactly
     the ``nev`` largest mu are wanted, with no guard pairs.  Both paths end
-    in one Rayleigh-Ritz step with the exact R, ``eigh(U^T R U, U^T A U)``:
-    on the whole space (U = I) for small A, else on the Ritz vectors U of
+    in one Rayleigh-Ritz step with the exact R, ``eigh(U^T R U, U^T A U)``.
+    For small A, U is an A-orthonormal basis of A^-1 range(B^T), which
+    holds every mode with mu > 0: r = min(nU, nC) columns from the dense
+    Cholesky of A and a thin QR, so the step is a standard ``eigh`` of size
+    r and at most r pairs are computed.  Else U holds the Ritz vectors of
     :func:`_lanczos` in the A inner product (``eigsh`` with M = A) on the
     semidefinite B^T (C + rho I)^{-1} B, one unrefined C solve per step.
     The potential is p = -C^+ B u, moved onto the gauge by
@@ -460,9 +463,10 @@ def schur_eigs(pencil, nev=10, seed=0):
     Lanczos steps take none), the block sizes ``size_A`` and ``size_C``,
     the factor fill ``lu_nnz_A`` and ``lu_nnz_C`` (L + U; the dense
     Cholesky triangle for A on the dense path), ``op_applies`` (the Lanczos
-    operator applied to one vector; the columns of R on the dense path),
-    and the Lanczos ``lanczos_k`` and ``lanczos_ncv`` (k = nev whenever A
-    has that many rows, on both paths; ncv is None on the dense path).
+    operator applied to one vector; the r columns of the basis on the dense
+    path), and the Lanczos ``lanczos_k`` and ``lanczos_ncv`` (k = nev
+    whenever the basis has that many columns, on both paths; ncv is None on
+    the dense path).
     """
     try:
         A, B, C = (pencil.blocks[k] for k in ("A", "B", "C"))
@@ -473,13 +477,23 @@ def schur_eigs(pencil, nev=10, seed=0):
         raise PencilError("Schur blocks do not match the pencil layout")
     A, B, C = A.tocsc(), B.tocsr(), C.tocsc()
     csolve, chandle, rho = _refined_solver(C)
-    k = min(nev, nU)
-    meta = {"path": "dense" if nU <= max(_DENSE_SCHUR_LIMIT, nev + 1) else "sparse",
+    dense = nU <= max(_DENSE_SCHUR_LIMIT, nev + 1)
+    # R has rank at most nC: the dense basis has r = min(nU, nC) columns
+    k = min(nev, nU, nC) if dense else min(nev, nU)
+    meta = {"path": "dense" if dense else "sparse",
             "rho": rho, "refinement_steps": 1, "size_A": nU, "size_C": nC,
             "lu_nnz_C": _lu_nnz(chandle), "lanczos_k": k, "lanczos_ncv": None}
-    if meta["path"] == "dense":
-        U, BU, AU = None, B.toarray(), A.toarray()
-        meta.update(lu_nnz_A=nU * (nU + 1) // 2, op_applies=nU)
+    if dense:
+        # A = L L^T and L^-1 B^T = Q F: U = L^-T Q is A-orthonormal and
+        # spans A^-1 range(B^T), where every mode with mu > 0 lies; B U = F^T
+        L = scipy.linalg.cholesky(A.toarray(), lower=True)
+        Q, F = scipy.linalg.qr(scipy.linalg.solve_triangular(L, B.T.toarray(), lower=True),
+                               mode="economic")
+        BU, AU = F.T, None
+
+        def basis(W):  # U W
+            return scipy.linalg.solve_triangular(L, Q @ W, lower=True, trans="T")
+        meta.update(lu_nnz_A=nU * (nU + 1) // 2, op_applies=len(F))
     else:
         ahandle = factorize(A)
         applies = [0]
@@ -491,15 +505,15 @@ def schur_eigs(pencil, nev=10, seed=0):
         Ainv = spla.LinearOperator((nU, nU), matvec=ahandle.solve, dtype=float)
         (_, U), ncv = _lanczos(R, k, nU, seed, M=A, Minv=Ainv, which="LA",
                                tol=1e-10)
-        BU, AU = B @ U, U.T @ (A @ U)
+        BU, AU, basis = B @ U, U.T @ (A @ U), lambda W: U @ W
         meta.update(lu_nnz_A=_lu_nnz(ahandle), op_applies=applies[0],
                     lanczos_ncv=ncv)
     X = csolve(BU)
     S = BU.T @ X
-    mu, W = scipy.linalg.eigh(0.5 * (S + S.T), AU,
-                              subset_by_index=[len(AU) - k, len(AU) - 1])
+    r = len(S)
+    mu, W = scipy.linalg.eigh(0.5 * (S + S.T), AU, subset_by_index=[r - k, r - 1])
     mu, W = mu[::-1], W[:, ::-1]  # ascending lambda
-    Z = np.vstack([W if U is None else U @ W, _fix_gauge(pencil, -(X @ W))])
+    Z = np.vstack([basis(W), _fix_gauge(pencil, -(X @ W))])
     with np.errstate(divide="ignore"):
         lam = 1.0 / mu - 1.0
     return _gated_solution(pencil, lam, Z, nev, "Schur", meta,

@@ -447,20 +447,42 @@ class TestBuildCache:
 
     def test_two_field_build_shares_maps_and_free_dofs(self, monkeypatch):
         # five forms on two spaces need two per-cell maps (vector val and
-        # curl) and two free-dof sets, each computed once
-        maps, frees = [], []
+        # curl) and two free-dof sets per build, each computed once; the
+        # reference tables are tabulated by the first build only
+        maps, frees, tables = [], [], []
         quantity, setdiff = assembly._quantity, np.setdiff1d
 
         def counted(space, name, pts):
+            tables.append((space.kind, name))
             ref, cell_map = quantity(space, name, pts)
             return ref, lambda *g: maps.append((space.kind, name)) or cell_map(*g)
+        monkeypatch.setattr(assembly, "_REF_TABLES", {})
         monkeypatch.setattr(assembly, "_quantity", counted)
         monkeypatch.setattr(np, "setdiff1d",
                             lambda *a, **k: frees.append(1) or setdiff(*a, **k))
-        build_pencil(build_structured_cube(2), FormulationSpec(
-            kind="ls3d_twofield_nodal", elements_v="p1", gauge="none"))
-        assert sorted(maps) == [("vector", "curl"), ("vector", "val")]
-        assert len(frees) == 2
+        spec = FormulationSpec(kind="ls3d_twofield_nodal", elements_v="p1", gauge="none")
+
+        def build():
+            maps.clear()
+            frees.clear()
+            build_pencil(build_structured_cube(2), spec)
+            assert sorted(maps) == [("vector", "curl"), ("vector", "val")]
+            assert len(frees) == 2
+        build()
+        tabulated = len(tables)
+        build()
+        assert tabulated and len(tables) == tabulated
+
+    def test_reference_tables_are_read_only(self):
+        m = build_structured_square(2)
+        P = build_space(m, "p1")
+        assemble("mass_scalar", P, P)
+        assemble("mu_mean_row", None, P)
+        R, _, _ = assembly._REF_TABLES[("mass_scalar", "p1", "p1", 2)]
+        ref = assembly._REF_TABLES[("mu_mean_row", "p1", 2)]
+        for a in (R, ref):
+            with pytest.raises(ValueError):
+                a[...] = 0.0
 
     def test_nothing_left_after_build(self):
         m = build_structured_square(3)
@@ -503,6 +525,28 @@ class TestEliminate:
         expect = 1.0 / 3.0 + 4.0 / math.pi ** 2
         assert abs(red[0, 0] - expect) < 1e-14
 
+    @pytest.mark.parametrize("constraint", ["none", "some", "all"])
+    def test_matches_fancy_indexing(self, constraint):
+        # one pass over the entries keeps exactly the entries, and their
+        # order, of row then column fancy indexing, in a new matrix
+        if constraint == "all":
+            m = single_triangle_mesh([[0, 0], [1, 0], [0, 1]])
+        else:
+            m = build_structured_square(3)
+        tags = None if constraint == "none" else ("exterior",)
+        V = build_space(m, "ned0", tags and ("tangential_zero", tags))
+        P = build_space(m, "p1", tags and ("scalar_zero", tags))
+        for mat, test, trial in ((assemble("mass_scalar", P, P), P, P),
+                                 (assemble("curl_to_vector", P, V), P, V),
+                                 (assemble("rot_pairing", V, P), V, P)):
+            red, tf, uf = eliminate_constraints(mat, test, trial)
+            assert (len(tf) == test.num_dofs, len(tf) == 0) == (
+                constraint == "none", constraint == "all")
+            want = mat.tocsr()[tf][:, uf]
+            assert red.format == "csr"
+            assert _same_matrix(red, want)
+            assert not np.shares_memory(red.data, mat.data)
+
     def test_expand_vector(self):
         out = expand_vector(np.array([1.0, 2.0]), np.array([1, 3]), 5)
         assert np.allclose(out, [0, 1, 0, 2, 0])
@@ -531,5 +575,26 @@ class TestCoefficients:
 
     def test_missing_tag(self):
         m = tag_subdomain(build_structured_square(2), ((0, 0), (4, 4)), 7)
-        with pytest.raises(AssemblyError):
+        with pytest.raises(AssemblyError, match="no coefficient for cell tag 7"):
             CoefficientField().eps_on(m)
+
+    def test_per_cell_values_match_a_lookup_per_cell(self):
+        m = tag_subdomain(tag_subdomain(build_structured_square(4), ((0, 0), (1.6, 1.6)), 3),
+                          ((2.0, 2.0), (4.0, 4.0)), 1)
+        assert set(m.cell_tags) == {0, 1, 3}
+        coeff = CoefficientField(eps={0: 1.0, 1: 2.5, 3: 0.3}, mu={0: 1, 1: 7, 3: 2})
+        for table, got in ((coeff.eps, coeff.eps_on(m)), (coeff.mu, coeff.mu_on(m))):
+            want = np.array([table[int(t)] for t in m.cell_tags])
+            assert got.dtype == want.dtype and np.array_equal(got, want)
+
+    def test_mean_row_matches_a_scatter_per_cell(self):
+        m = tag_subdomain(build_structured_square(4), ((0, 0), (1.6, 1.6)), 1)
+        coeff = CoefficientField(mu={0: 1.0, 1: 3.0})
+        quad = elements.quadrature(2, 4)
+        weights = coeff.mu_on(m) * assembly._geometry(m)[1]
+        for family in ("p1", "p2"):
+            P = build_space(m, family)
+            vals, _ = elements.eval_lagrange(P.degree, 2, quad.cartesian)
+            want = np.zeros(P.num_dofs)
+            np.add.at(want, P.cell_dofs, weights[:, None] * (quad.weights @ vals))
+            assert np.array_equal(assemble("mu_mean_row", None, P, coeff).toarray()[0], want)

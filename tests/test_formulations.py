@@ -6,7 +6,8 @@ import pytest
 import scipy.linalg
 import scipy.sparse as sparse
 
-from lsmaxwell.assembly import AssemblyError, CoefficientField
+from lsmaxwell.assembly import (AssemblyError, CoefficientField, assemble,
+                                discrete_gradient)
 from lsmaxwell.bench import solve_spectrum
 from lsmaxwell.formulations import (FormulationSpec, build_pencil,
                                     curlcurl_edge, galerkin_laplace,
@@ -598,3 +599,66 @@ class TestGoldenPencils:
         assert sorted(got) == sorted(want["blocks"])
         for k, fp in want["blocks"].items():
             assert _same_fingerprint(_fingerprint(got[k]), fp), k
+
+
+def _pencil_built_by_scipy(pen, coeff):
+    """K, M and the blocks of a least-squares pencil formed the plain scipy
+    way, on the pencil's own spaces: each form assembled, its constraints
+    eliminated by row then column fancy indexing, and K joined by
+    ``sparse.bmat`` from the lower blocks and their transposes."""
+    (V, vf), (Q, qf) = pen.spaces["u"], pen.spaces["p"]
+
+    def reduced(mat, test, trial):
+        return mat.tocsr()[test.free_dofs()][:, trial.free_dofs()]
+
+    A = reduced(assemble("eps_mass", V, V, coeff) + assemble("mu_inv_rot_rot", V, V, coeff),
+                V, V)
+    B = reduced(assemble("curl_to_vector", Q, V, coeff), Q, V)
+    C = reduced(assemble("eps_inv_curl_curl", Q, Q, coeff), Q, Q)
+    D = reduced(assemble("rot_pairing", V, Q, coeff), V, Q)
+    blocks = {"A": A, "B": B, "C": C, "D": D}
+    lower = {("u", "u"): A, ("p", "u"): B, ("p", "p"): C}
+    if "w" in pen.ranges:
+        W, wf = pen.spaces["w"]
+        G = reduced(assemble("grad_pairing_3d", Q, W, coeff), Q, W)
+        m = assemble("mu_mean_row", None, W, coeff)[:, wf]
+        blocks.update(G=G, Gd=discrete_gradient(Q, W)[qf][:, wf].tocsr(), mean_row=m)
+        lower[("w", "p")], lower[("lm", "w")] = G.T, m
+    elif "lm" in pen.ranges:
+        m = assemble("mu_mean_row", None, Q, coeff)[:, qf]
+        blocks["mean_row"] = m
+        lower[("lm", "p")] = m
+    grid = lower | {(c, r): S.T for (r, c), S in lower.items() if r != c}
+    K = sparse.bmat([[grid.get((r, c)) for c in pen.ranges] for r in pen.ranges],
+                    format="csr")
+    D = D.tocoo()
+    M = sparse.csr_matrix((D.data, (D.row, D.col + len(vf))), shape=K.shape)
+    return K, M, blocks
+
+
+BITWISE_CONFIGS = {
+    **{f"ls2d_{ev}_{gauge}": (
+        lambda ev=ev: build_structured_square(3 if ev == "p2" else 4),
+        {"elements_v": ev, "elements_q": "p2" if ev == "p2" else "p1", "gauge": gauge})
+       for ev in ("ned0", "p1", "p2") for gauge in ("multiplier", "none")},
+    **{name: GOLDEN_CONFIGS[name][1:] for name in (
+        "ls2d_jump", "ls2d_slit_mult", "ls2d_slit_none", "threefield_cube",
+        "twofield_cube")},
+}
+
+
+class TestBlockBuild:
+    @pytest.mark.parametrize("name", sorted(BITWISE_CONFIGS))
+    def test_same_pencil_as_scipy_glue(self, name):
+        # the one-pass elimination and block join store bitwise the same
+        # entries, in the same order, as fancy indexing and sparse.bmat
+        make_mesh, kw = BITWISE_CONFIGS[name]
+        spec = FormulationSpec(**kw)
+        pen = build_pencil(make_mesh(), spec)
+        K, M, blocks = _pencil_built_by_scipy(pen, spec.coeff)
+        assert sorted(pen.blocks) == sorted(blocks)
+        for label, got, want in [("K", pen.K, K), ("M", pen.M, M)] + [
+                (k, pen.blocks[k], blocks[k]) for k in blocks]:
+            assert got.format == "csr" and got.shape == want.shape, label
+            for part in ("indptr", "indices", "data"):
+                assert np.array_equal(getattr(got, part), getattr(want, part)), (label, part)

@@ -7,6 +7,7 @@ import re
 
 import numpy as np
 import pytest
+import scipy.linalg
 import scipy.sparse.linalg as spla
 from scipy.sparse.linalg import splu
 
@@ -363,3 +364,32 @@ def test_refined_c_solve(gauge):
     assert rho == 1e-12 * np.abs(C.data).max()
     b = B @ np.random.default_rng(0).standard_normal(B.shape[1])
     assert np.linalg.norm(C @ solve(b) - b) <= 1e-14 * np.linalg.norm(b)
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_dense_basis_gives_the_whole_space_step(name, monkeypatch):
+    # the dense Rayleigh-Ritz step runs on an A-orthonormal basis of
+    # A^-1 range(B^T), min(nU, nC) columns, and finds the eigenvalues of the
+    # step on the whole space, eigh(R, A)
+    mesh, spec, nev = CASES[name]
+    pen = build_pencil(mesh, spec)
+    monkeypatch.setattr(pencilmod, "_DENSE_SCHUR_LIMIT", 10**9)
+    sol = schur_eigs(pen, nev=nev)
+    A, B, C = (pen.blocks[k] for k in "ABC")
+    assert sol.meta["op_applies"] == min(A.shape[0], C.shape[0])
+    csolve, _, _ = pencilmod._refined_solver(C.tocsc())
+    S = B.toarray().T @ csolve(B.toarray())
+    mu = scipy.linalg.eigh(0.5 * (S + S.T), A.toarray(), eigvals_only=True)[::-1]
+    lam = 1.0 / mu[:nev] - 1.0
+    assert np.abs(sol.eigenvalues - lam).max() <= 1e-13 * np.abs(lam).max()
+
+
+def test_nev_beyond_the_reduced_size(path):
+    # on the n = 1 mixed slit R has rank at most nC = 11 < nU = 15: both
+    # paths reach the gate, which names the request, rather than failing
+    # inside eigh on a basis of 11 columns
+    pen = build_pencil(build_slit(1, "crisscross"), FormulationSpec(
+        kind="ls2d", elements_v="p1", bc="mixed_slit", gauge="none"))
+    assert (pen.blocks["A"].shape[0], pen.blocks["C"].shape[0]) == (15, 11)
+    with pytest.raises(PencilError, match="^11 of 12 Schur pairs passed"):
+        schur_eigs(pen, nev=12)
