@@ -167,7 +167,7 @@ def build_domain_mesh(config, n):
     return m
 
 
-def solve_spectrum(mesh, spec, nev, seed=0):
+def solve_spectrum(mesh, spec, nev):
     """Solve one formulation on one mesh; returns the ``nev`` smallest
     physical eigenvalues, ascending, and their :class:`EigenSolution`.
 
@@ -179,7 +179,7 @@ def solve_spectrum(mesh, spec, nev, seed=0):
     """
     pencil = build_pencil(mesh, spec)
     sol = (schur_eigs if isinstance(pencil, BlockPencil) else solve_symmetric)(
-        pencil, nev=nev, seed=seed)
+        pencil, nev=nev)
     return sol.eigenvalues, sol
 
 

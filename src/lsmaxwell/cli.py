@@ -19,7 +19,7 @@ from .bench import (StudyConfig, StudyError, build_domain_mesh, render_report,
 from .elements import ElementError
 from .formulations import FormulationSpec
 from .mesh import MeshError
-from .pencil import PencilError, discard_log, spectrum_csv
+from .pencil import PencilError, spectrum_csv
 
 _VALIDATION = (StudyError, AssemblyError, MeshError, ElementError, ValueError)
 
@@ -64,14 +64,12 @@ def _coeff_from(cfg):
 
 
 def spec_from_config(cfg):
+    """The :class:`FormulationSpec` of the config's keys that it has; the
+    spec's own defaults fill in the rest."""
     coeff, _ = _coeff_from(cfg)
-    return FormulationSpec(
-        kind=cfg.get("formulation", "ls2d"),
-        elements_v=cfg.get("elements_v", "ned0"),
-        elements_q=cfg.get("elements_q", "p1"),
-        gauge=cfg.get("gauge", "multiplier"),
-        bc=cfg.get("bc", "standard"),
-        coeff=coeff)
+    given = {"kind" if key == "formulation" else key: cfg[key] for key in
+             ("formulation", "elements_v", "elements_q", "gauge", "bc") if key in cfg}
+    return FormulationSpec(coeff=coeff, **given)
 
 
 def study_config_from(cfg, spec=None, spec_b=None, reference=None, nev=None):
@@ -118,8 +116,6 @@ def cmd_solve(args):
     _, sol = solve_spectrum(m, config.spec, config.nev)
     with open(args.out, "w") as f:
         f.write(spectrum_csv(sol))
-    with open(args.out + ".discards.txt", "w") as f:
-        f.write(discard_log(sol))
     return 0
 
 

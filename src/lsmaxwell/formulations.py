@@ -10,7 +10,7 @@ Laplacian and the curl-curl operator on edge elements.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 import scipy.sparse as sparse
@@ -19,9 +19,6 @@ from . import mesh as meshmod
 from .assembly import (AssemblyError, CoefficientField, _per_build, assemble,
                        build_space, discrete_gradient, eliminate_constraints)
 from .pencil import BlockPencil, SymmetricPencil, validate_pencil
-
-KINDS = ("ls2d", "ls3d_threefield", "ls3d_twofield_nodal",
-         "galerkin_laplace", "curlcurl_edge")
 
 
 @dataclass(frozen=True)
@@ -33,9 +30,9 @@ class FormulationSpec:
     ``elements_q`` is nodal in 2D and 'ned0' for the 3D three-field system.
     ``gauge`` selects the mean-value multiplier ('multiplier') or drops the
     constraint ('none').  The 3D least-squares kinds and the reference kinds
-    fix some fields (``_FIXED_FIELDS``); a spec for one of them leaves such
-    a field at its default (for ``coeff``: all values 1) or gives it the
-    fixed value, else it is rejected.
+    fix some fields (:data:`_KINDS`); a spec for one of them leaves such a
+    field at its default (for ``coeff``: all values 1) or gives it the fixed
+    value, else it is rejected, and the spec then holds the fixed value.
     """
 
     kind: str = "ls2d"
@@ -46,14 +43,17 @@ class FormulationSpec:
     coeff: CoefficientField = field(default_factory=CoefficientField.unit)
 
     def __post_init__(self):
-        if self.kind not in KINDS:
+        if self.kind not in _KINDS:
             raise AssemblyError(f"unknown formulation kind {self.kind!r}")
-        for name, value in zip(_FIXABLE, _FIXED_FIELDS[self.kind]):
-            want, got = value and value.removeprefix("vector_"), getattr(self, name)
-            if name == "coeff" and set(got.eps.values()) | set(got.mu.values()) == {1.0}:
-                continue
-            if want is not None and got not in (want, _SPEC_DEFAULTS[name]):
+        for name, want in _KINDS[self.kind][1].items():
+            got = getattr(self, name)
+            if name == "coeff":
+                ok = set(got.eps.values()) | set(got.mu.values()) == {1.0}
+            else:
+                ok = got in (want, _SPEC_DEFAULTS[name])
+            if not ok:
                 raise AssemblyError(f"{self.kind} fixes {name} = {want!r}, got {got!r}")
+            object.__setattr__(self, name, want)
         if self.bc not in ("standard", "mixed_slit"):
             raise AssemblyError(f"unknown bc mode {self.bc!r}")
         if self.gauge not in ("multiplier", "none"):
@@ -61,7 +61,19 @@ class FormulationSpec:
 
 
 _SPEC_DEFAULTS = {f.name: f.default for f in fields(FormulationSpec)}
-_FIXABLE = ("elements_v", "elements_q", "gauge", "bc", "coeff")
+# kind -> (mesh dimension, None for any; the spec fields the kind fixes).
+# The reference kinds read only bc (Galerkin) or coeff (curl-curl).
+_KINDS = {
+    "ls2d": (2, {}),
+    "ls3d_threefield": (3, dict(elements_v="ned0", elements_q="ned0",
+                                gauge="multiplier", bc="standard")),
+    "ls3d_twofield_nodal": (3, dict(elements_v="p1", elements_q="p1",
+                                    gauge="none", bc="standard")),
+    "galerkin_laplace": (None, dict(elements_v="p1", elements_q="p1",
+                                    gauge="none", coeff=CoefficientField.unit())),
+    "curlcurl_edge": (2, dict(elements_v="ned0", elements_q="p1",
+                              gauge="none", bc="standard")),
+}
 
 
 def _vector_family(name):
@@ -70,6 +82,12 @@ def _vector_family(name):
     if name in ("p1", "p2"):
         return "vector_" + name
     raise AssemblyError(f"unsupported V element {name!r}")
+
+
+def _check_dim(mesh, kind):
+    dim = _KINDS[kind][0]
+    if dim is not None and mesh.dim != dim:
+        raise AssemblyError(f"{kind} requires a {dim}D mesh")
 
 
 def _all_tags(mesh):
@@ -83,26 +101,9 @@ def _slit_tags(mesh):
     return (meshmod.SLIT_TOP, meshmod.SLIT_BOTTOM)
 
 
-# kind -> (mesh dim, V family, Q family, gauge, bc); None takes the value
-# from the spec.  The three-field kind always carries the multiplier and
-# the two-field nodal kind never does.  A spec for a kind may give a fixed
-# field only its fixed value (without the 'vector_' prefix) or the default.
-_LS_KINDS = {
-    "ls2d": (2, None, None, None, None),
-    "ls3d_threefield": (3, "ned0", "ned0", "multiplier", "standard"),
-    "ls3d_twofield_nodal": (3, "vector_p1", "vector_p1", "none", "standard"),
-}
-# kind -> the values it fixes of the _FIXABLE fields, None where it reads
-# the spec: the rows of _LS_KINDS, and the reference kinds, which read only
-# bc (Galerkin) or coeff (curl-curl)
-_FIXED_FIELDS = {kind: row[1:] + (None,) for kind, row in _LS_KINDS.items()} | {
-    "galerkin_laplace": ("p1", "p1", "none", None, "unit"),
-    "curlcurl_edge": ("ned0", "p1", "none", "standard", None),
-}
-
-
-def _ls_pencil(mesh, spec, kind):
-    """Least-squares pencil of one of the :data:`_LS_KINDS`.
+def _ls_pencil(mesh, spec):
+    """Least-squares pencil of a spec of kind 'ls2d', 'ls3d_threefield' or
+    'ls3d_twofield_nodal'.
 
     K = [[A, B^T], [B, C]] with A = (eps u, v) + (1/mu rot u, rot v), B =
     -(u, curl q), C = (1/eps curl p, curl q), bordered by the gauge rows;
@@ -116,14 +117,10 @@ def _ls_pencil(mesh, spec, kind):
     one block of each symmetric pair, keyed by (row field, column field),
     and the transposes of the off-diagonal ones.
     """
-    dim, v_family, q_family, gauge, bc = _LS_KINDS[kind]
-    if mesh.dim != dim:
-        raise AssemblyError(f"{kind} requires a {dim}D mesh")
-    if kind == "ls3d_threefield" and {spec.elements_v, spec.elements_q} != {"ned0"}:
-        raise AssemblyError("the three-field system uses edge elements for V and Q")
-    v_family = v_family or _vector_family(spec.elements_v)
-    q_family = q_family or spec.elements_q
-    gauge, bc, coeff = gauge or spec.gauge, bc or spec.bc, spec.coeff
+    _check_dim(mesh, spec.kind)
+    v_family = _vector_family(spec.elements_v)
+    q_family = spec.elements_q if mesh.dim == 2 else _vector_family(spec.elements_q)
+    gauge, bc, coeff = spec.gauge, spec.bc, spec.coeff
     v_tags, q_constraint = _all_tags(mesh), None
     if bc == "mixed_slit":
         v_tags, q_constraint = (meshmod.EXTERIOR,), ("scalar_zero", _slit_tags(mesh))
@@ -165,8 +162,8 @@ def _ls_pencil(mesh, spec, kind):
     K = _from_blocks(ranges, half, symmetric=True)
     M = _from_blocks(ranges, {("u", "p"): D})
     pencil = BlockPencil(K, M, ranges, primary="p", blocks=blocks, spaces=spaces,
-                         flags={"kind": kind, "bc": bc, "gauge": gauge,
-                                "theory_covered": kind != "ls3d_twofield_nodal"})
+                         flags={"kind": spec.kind, "bc": bc, "gauge": gauge,
+                                "theory_covered": spec.kind != "ls3d_twofield_nodal"})
     return validate_pencil(pencil)
 
 
@@ -190,14 +187,14 @@ def _from_blocks(ranges, grid, symmetric=False):
 def ls_maxwell_2d(mesh, spec):
     """Two-dimensional least-squares pencil: V edge or vector nodal, p
     nodal, with the mean-value multiplier unless ``spec.gauge='none'``."""
-    return _ls_pencil(mesh, spec, "ls2d")
+    return _ls_pencil(mesh, replace(spec, kind="ls2d"))
 
 
 def ls_maxwell_3d_threefield(mesh, spec):
     """Three-dimensional three-field pencil: edge elements for both vector
     fields, a nodal multiplier field enforcing the weighted divergence
     gauge, and one scalar row fixing the multiplier's mean."""
-    return _ls_pencil(mesh, spec, "ls3d_threefield")
+    return _ls_pencil(mesh, replace(spec, kind="ls3d_threefield"))
 
 
 def ls_maxwell_3d_twofield_nodal(mesh, spec):
@@ -210,7 +207,7 @@ def ls_maxwell_3d_twofield_nodal(mesh, spec):
     pencils: its refined solve with the singular block C is only asked for
     right-hand sides B u, which lie in range(C), so no filter is needed.
     """
-    return _ls_pencil(mesh, spec, "ls3d_twofield_nodal")
+    return _ls_pencil(mesh, replace(spec, kind="ls3d_twofield_nodal"))
 
 
 def galerkin_laplace(mesh, bc="standard"):
@@ -224,10 +221,8 @@ def galerkin_laplace(mesh, bc="standard"):
     constraint = ("scalar_zero", _slit_tags(mesh)) if bc == "mixed_slit" else None
     with _per_build(mesh):
         P = build_space(mesh, "p1", constraint)
-        K = assemble("stiffness_laplace", P, P)
-        Mm = assemble("mass_scalar", P, P)
-    K, pf, _ = eliminate_constraints(K, P, P)
-    Mm, _, _ = eliminate_constraints(Mm, P, P)
+        K, pf, _ = eliminate_constraints(assemble("stiffness_laplace", P, P), P, P)
+        Mm, _, _ = eliminate_constraints(assemble("mass_scalar", P, P), P, P)
     ones = None if constraint else sparse.csr_matrix(np.ones((len(pf), 1)))
     return SymmetricPencil(K, Mm, kernel_basis=ones, space=(P, pf),
                            flags={"kind": "galerkin_laplace", "bc": bc})
@@ -240,28 +235,24 @@ def curlcurl_edge(mesh, coeff=None):
     The discrete gradients of the interior nodal functions span the
     kernel and are attached as the kernel basis, which the solver deflates.
     """
-    if mesh.dim != 2:
-        raise AssemblyError("curlcurl_edge is used as a 2D reference")
+    _check_dim(mesh, "curlcurl_edge")
     coeff = coeff or CoefficientField.unit()
     tags = _all_tags(mesh)
     with _per_build(mesh):
         V = build_space(mesh, "ned0", ("tangential_zero", tags))
         P = build_space(mesh, "p1", ("scalar_zero", tags))
-        S = assemble("mu_inv_rot_rot", V, V, coeff)
-        Mm = assemble("eps_mass", V, V, coeff)
-    S, vf, _ = eliminate_constraints(S, V, V)
-    Mm, _, _ = eliminate_constraints(Mm, V, V)
-    G = discrete_gradient(V, P)
-    Gred = G[vf][:, P.free_dofs()].tocsr()
-    return SymmetricPencil(S, Mm, kernel_basis=Gred, space=(V, vf),
+        S, vf, _ = eliminate_constraints(assemble("mu_inv_rot_rot", V, V, coeff), V, V)
+        Mm, _, _ = eliminate_constraints(assemble("eps_mass", V, V, coeff), V, V)
+        G, _, _ = eliminate_constraints(discrete_gradient(V, P), V, P)
+    return SymmetricPencil(S, Mm, kernel_basis=G, space=(V, vf),
                            flags={"kind": "curlcurl_edge"})
 
 
 def build_pencil(mesh, spec):
     """Dispatch a :class:`FormulationSpec` to its builder; the spec has
     already rejected an unknown kind."""
-    if spec.kind in _LS_KINDS:
-        return _ls_pencil(mesh, spec, spec.kind)
     if spec.kind == "galerkin_laplace":
         return galerkin_laplace(mesh, spec.bc)
-    return curlcurl_edge(mesh, spec.coeff)
+    if spec.kind == "curlcurl_edge":
+        return curlcurl_edge(mesh, spec.coeff)
+    return _ls_pencil(mesh, spec)

@@ -131,9 +131,6 @@ class EigenSolution:
     def num_discarded(self):
         return len(self.discarded)
 
-    def component(self, name):
-        return self.vectors[name]
-
 
 def validate_pencil(pencil):
     """Construction-time structure checks on the blocks K and M are formed
@@ -365,9 +362,9 @@ def _lu_nnz(handle):
     return int(handle._lu.L.nnz + handle._lu.U.nnz)
 
 
-def _lanczos(op, k, dim, seed, **kw):
-    """``scipy.sparse.linalg.eigsh(op, k, **kw)`` from a seeded random start
-    vector, with ncv = min(dim, max(2k + 1, 20)) basis vectors, where dim
+def _lanczos(op, k, dim, **kw):
+    """``scipy.sparse.linalg.eigsh(op, k, **kw)`` from a random start vector
+    of seed 0, with ncv = min(dim, max(2k + 1, 20)) basis vectors, where dim
     bounds the Krylov space; returns eigsh's result and ncv.
 
     Exactly the k wanted pairs are asked for: a guard pair beyond them
@@ -377,7 +374,7 @@ def _lanczos(op, k, dim, seed, **kw):
     :class:`PencilError`.
     """
     ncv = min(dim, max(2 * k + 1, 20))
-    v0 = np.random.default_rng(seed).standard_normal(op.shape[0])
+    v0 = np.random.default_rng(0).standard_normal(op.shape[0])
     try:
         return spla.eigsh(op, k=k, v0=v0, ncv=ncv, **kw), ncv
     except spla.ArpackNoConvergence as e:
@@ -434,7 +431,7 @@ def _gated_solution(pencil, lam, Z, nev, label, meta, finite=True):
     return EigenSolution(lam, pencil.split(Z), res, [], meta)
 
 
-def schur_eigs(pencil, nev=10, seed=0):
+def schur_eigs(pencil, nev=10):
     """Smallest finite eigenpairs of an LS block pencil through the
     symmetric Schur reduction.
 
@@ -503,7 +500,7 @@ def schur_eigs(pencil, nev=10, seed=0):
             return B.T @ chandle.solve(B @ v)
         R = spla.LinearOperator((nU, nU), matvec=r_matvec, dtype=float)
         Ainv = spla.LinearOperator((nU, nU), matvec=ahandle.solve, dtype=float)
-        (_, U), ncv = _lanczos(R, k, nU, seed, M=A, Minv=Ainv, which="LA",
+        (_, U), ncv = _lanczos(R, k, nU, M=A, Minv=Ainv, which="LA",
                                tol=1e-10)
         BU, AU, basis = B @ U, U.T @ (A @ U), lambda W: U @ W
         meta.update(lu_nnz_A=_lu_nnz(ahandle), op_applies=applies[0],
@@ -659,7 +656,7 @@ def coercivity_check(pencil):
     return True
 
 
-def solve_symmetric(sym, nev=10, seed=0):
+def solve_symmetric(sym, nev=10):
     """The ``nev`` smallest eigenpairs, ascending, of a symmetric pencil
     without its kernel ``range(kernel_basis)``, as a gated
     :class:`EigenSolution`.
@@ -707,7 +704,7 @@ def solve_symmetric(sym, nev=10, seed=0):
             return handle.solve(b)
         x = handle.solve(b - MG @ gram.solve(G.T @ b))
         return x - G @ gram.solve(MG.T @ x)
-    (lam, Z), ncv = _lanczos(K, nev, n - nker, seed, M=M, sigma=sigma,
+    (lam, Z), ncv = _lanczos(K, nev, n - nker, M=M, sigma=sigma,
                              OPinv=spla.LinearOperator((n, n), matvec=solve,
                                                        dtype=float))
     order = np.argsort(lam)
@@ -722,12 +719,4 @@ def spectrum_csv(solution):
     lines = ["index,lambda,residual"]
     for i, (lam, r) in enumerate(zip(solution.eigenvalues, solution.residuals)):
         lines.append(f"{i},{lam:.17g},{r:.3e}")
-    return "\n".join(lines) + "\n"
-
-
-def discard_log(solution):
-    """Plain-text log of filtered candidates."""
-    lines = [f"discarded {solution.num_discarded} candidate modes"]
-    for reason, lam in solution.discarded:
-        lines.append(f"  {reason}: lambda = {lam}")
     return "\n".join(lines) + "\n"

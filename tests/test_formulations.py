@@ -131,14 +131,41 @@ class TestLs3d:
         with pytest.raises(AssemblyError, match="fixes"):
             FormulationSpec(**kw)
 
-    def test_fixed_fields_accept_the_defaults(self):
-        m = build_structured_cube(2)
-        plain = ls_maxwell_3d_twofield_nodal(m, FormulationSpec(
-            kind="ls3d_twofield_nodal"))
-        fixed = ls_maxwell_3d_twofield_nodal(m, FormulationSpec(
-            kind="ls3d_twofield_nodal", elements_v="p1", elements_q="p1",
-            gauge="none"))
-        assert (plain.K != fixed.K).nnz == 0 and (plain.M != fixed.M).nnz == 0
+    # kind -> (mesh, the values of the fields it fixes)
+    FIXED = {
+        "ls2d": (lambda: build_structured_square(3), {}),
+        "ls3d_threefield": (lambda: build_structured_cube(2), dict(
+            elements_v="ned0", elements_q="ned0", gauge="multiplier", bc="standard")),
+        "ls3d_twofield_nodal": (lambda: build_structured_cube(2), dict(
+            elements_v="p1", elements_q="p1", gauge="none", bc="standard")),
+        # the CLI passes unit coefficients for cell tags 0 and 1
+        "galerkin_laplace": (lambda: build_slit(2), dict(
+            elements_v="p1", elements_q="p1", gauge="none",
+            coeff=CoefficientField(eps={0: 1.0, 1: 1.0}, mu={0: 1.0, 1: 1.0}))),
+        "curlcurl_edge": (lambda: build_structured_square(3), dict(
+            elements_v="ned0", elements_q="p1", gauge="none", bc="standard")),
+    }
+
+    @pytest.mark.parametrize("kind", list(FIXED))
+    def test_fixed_fields_accept_the_defaults(self, kind):
+        # the spec holds the fixed values, so a defaulted spec is the
+        # explicit one and builds the same pencil, bit for bit
+        make_mesh, fixed = self.FIXED[kind]
+        plain, explicit = FormulationSpec(kind=kind), FormulationSpec(kind=kind, **fixed)
+        assert plain == explicit
+        m = make_mesh()
+        a, b = build_pencil(m, plain), build_pencil(m, explicit)
+        pairs = [(a.K, b.K), (a.M, b.M)]
+        if hasattr(a, "blocks"):
+            assert a.blocks.keys() == b.blocks.keys()
+            pairs += [(a.blocks[k], b.blocks[k]) for k in a.blocks]
+        elif a.kernel_basis is not None:
+            pairs.append((a.kernel_basis, b.kernel_basis))
+        for x, y in pairs:
+            x, y = x.tocsr(), y.tocsr()
+            assert x.shape == y.shape
+            for attr in ("indptr", "indices", "data"):
+                assert np.array_equal(getattr(x, attr), getattr(y, attr))
 
     def test_reference_kinds_accept_unit_coefficients(self):
         # the CLI always passes cell tags 0 and 1
