@@ -14,7 +14,6 @@ for elements, label in (("ned0", "edge elements"), ("p1", "nodal elements")):
         domain="square",
         ns=(8, 16, 32),
         spec=FormulationSpec(kind="ls2d", elements_v=elements),
-        reference="square",
         nev=10,
     )
     report = run_study(config)

@@ -15,7 +15,6 @@ config = StudyConfig(
     spec=FormulationSpec(kind="ls2d", elements_v="p1", bc="mixed_slit",
                          gauge="none"),
     spec_b=FormulationSpec(kind="galerkin_laplace", bc="mixed_slit"),
-    reference="pairwise",
     diagonal="crisscross",
     nev=8,
 )

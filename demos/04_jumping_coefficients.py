@@ -26,7 +26,7 @@ for label, coeff in cases.items():
             domain="square", ns=(16, 32),
             spec=FormulationSpec(kind="ls2d", elements_v="p1", coeff=coeff),
             spec_b=FormulationSpec(kind="curlcurl_edge", coeff=coeff),
-            reference="pairwise", material_box=QUARTER,
+            material_box=QUARTER,
             perturb_amplitude=perturb, perturb_seed=1, nev=6,
         )
         report = run_study(config)

@@ -87,7 +87,6 @@ class FESpace:
     cell_dofs: np.ndarray
     cell_signs: np.ndarray
     constrained: np.ndarray
-    constraint: tuple | None
     edges: np.ndarray | None = None
     cell_edges: np.ndarray | None = None
 
@@ -209,7 +208,7 @@ def build_space(mesh, family, constraint=None):
         mesh, ("dofs", family), lambda: _dof_map(mesh, family))
     constrained = _constrained_dofs(mesh, family, constraint, edges)
     return FESpace(mesh, family, int(num_dofs), cell_dofs, cell_signs,
-                   constrained, constraint, edges, cell_edges)
+                   constrained, edges, cell_edges)
 
 
 def _constrained_dofs(mesh, family, constraint, edges):
@@ -496,14 +495,6 @@ def eliminate_constraints(matrix, test_space, trial_space):
     return red, tf, uf
 
 
-def expand_vector(values, free, size):
-    """Scatter reduced dof values back into the full numbering with zeros on
-    constrained dofs."""
-    out = np.zeros((size,) + values.shape[1:], dtype=values.dtype)
-    out[free] = values
-    return out
-
-
 def discrete_gradient(edge_space, scalar_space):
     """Edge-element interpolation of nodal gradients: G[e, v] with +1 at the
     higher-index endpoint of edge e and -1 at the lower one."""
@@ -517,12 +508,3 @@ def discrete_gradient(edge_space, scalar_space):
     return sparse.csr_matrix((vals, (rows, cols)),
                              shape=(ne, scalar_space.num_dofs))
 
-
-def write_matrix_text(mat):
-    """Coordinate text export: 'nrows ncols nnz' header then 'i j value'."""
-    coo = mat.tocoo()
-    lines = [f"{coo.shape[0]} {coo.shape[1]} {coo.nnz}"]
-    order = np.lexsort((coo.col, coo.row))
-    for i, j, v in zip(coo.row[order], coo.col[order], coo.data[order]):
-        lines.append(f"{i} {j} {v:.17g}")
-    return "\n".join(lines) + "\n"

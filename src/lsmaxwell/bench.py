@@ -1,15 +1,18 @@
 """Configuration-driven convergence studies.
 
-Runs a formulation across a mesh sequence, compares eigenvalues against a
-reference catalog or against a second formulation on the same meshes,
+Each study domain is one row of :data:`DOMAINS`: its mesh, the settings
+that mesh reads and its reference eigenvalues.  A study runs a formulation
+across a mesh sequence of its domain, compares eigenvalues against the
+domain's reference or against a second formulation on the same meshes,
 computes rates under mesh refinement, and renders CSV/markdown reports.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -19,53 +22,59 @@ from .formulations import FormulationSpec, build_pencil
 from .pencil import (BlockPencil, PencilError, schur_eigs, shift_invert_eigs,
                      solve_symmetric)
 
-# reference eigenvalues of the L-shaped and cracked-square benchmarks
-LSHAPE_REFERENCE = (1.47562, 3.53403, 9.86960, 9.86960, 11.38948)
-SLIT_REFERENCE = (1.03407, 2.46740, 4.04693, 9.86960, 9.86960,
-                  10.84485, 12.26490, 12.33701, 19.73921, 21.24411)
-
 
 class StudyError(ValueError):
     """Invalid study configuration."""
 
 
-def reference_spectrum(domain, count):
-    """Ascending reference eigenvalues (with multiplicity) for a domain.
+def _cavity(dim):
+    """The Maxwell spectrum of the cavity [0, pi]^dim as a function of the
+    count: |k|^2 over index tuples k >= 0 with at least dim - 1 positive
+    entries, counted dim - 1 times (once per polarisation) when all are
+    positive."""
+    def spectrum(count):
+        r = math.isqrt(4 * count) + 2
+        vals = []
+        for k in itertools.product(range(r + 1), repeat=dim):
+            pos = sum(i > 0 for i in k)
+            if pos >= dim - 1:
+                vals += [sum(i * i for i in k)] * (dim - 1 if pos == dim else 1)
+        return np.sort(np.array(vals, dtype=float))[:count]
+    return spectrum
 
-    'square': m^2 + n^2 over m, n >= 0 with m + n > 0.
-    'cube': m^2 + n^2 + k^2 with at least two positive indices; triples with
-    all three positive count twice.
-    'lshape', 'slit': tabulated benchmark values.
-    """
-    if domain == "square":
-        vals = []
-        r = int(math.isqrt(4 * count)) + 2
-        for m2 in range(r + 1):
-            for n2 in range(r + 1):
-                if m2 + n2 > 0:
-                    vals.append(m2 * m2 + n2 * n2)
-        return np.sort(np.array(vals, dtype=float))[:count]
-    if domain == "cube":
-        vals = []
-        r = int(math.isqrt(4 * count)) + 2
-        for m2 in range(r + 1):
-            for n2 in range(r + 1):
-                for k2 in range(r + 1):
-                    pos = (m2 > 0) + (n2 > 0) + (k2 > 0)
-                    if pos < 2:
-                        continue
-                    lam = m2 * m2 + n2 * n2 + k2 * k2
-                    vals += [lam, lam] if pos == 3 else [lam]
-        return np.sort(np.array(vals, dtype=float))[:count]
-    if domain == "lshape":
-        if count > len(LSHAPE_REFERENCE):
-            raise StudyError("only 5 reference values known for the L-shape")
-        return np.array(LSHAPE_REFERENCE[:count])
-    if domain == "slit":
-        if count > len(SLIT_REFERENCE):
-            raise StudyError("only 10 reference values known for the slit domain")
-        return np.array(SLIT_REFERENCE[:count])
-    raise StudyError(f"unknown reference domain {domain!r}")
+
+# domain -> (its mesh at n for a config; the config settings that mesh reads
+# besides n; its reference spectrum, a function of the count or a tabulated
+# tuple).  The L-shape and the cracked (slit) square have a fixed size and
+# tabulated benchmark values.
+DOMAINS = {
+    "square": (lambda n, c: meshmod.build_structured_square(n, c.side, c.diagonal),
+               ("side", "diagonal"), _cavity(2)),
+    "lshape": (lambda n, c: meshmod.build_lshape(n, c.diagonal), ("diagonal",),
+               (1.47562, 3.53403, 9.86960, 9.86960, 11.38948)),
+    "slit": (lambda n, c: meshmod.build_slit(n, c.diagonal), ("diagonal",),
+             (1.03407, 2.46740, 4.04693, 9.86960, 9.86960,
+              10.84485, 12.26490, 12.33701, 19.73921, 21.24411)),
+    "cube": (lambda n, c: meshmod.build_structured_cube(n, c.side), ("side",),
+             _cavity(3)),
+}
+# a setting a domain's mesh does not read fails the config unless defaulted
+_UNREAD = {"side": "the {0} domain has a fixed size; side = {1:g} does not apply",
+           "diagonal": "the {0} mesh has one split; diagonal = {1!r} does not apply"}
+
+
+def reference_spectrum(domain, count):
+    """The ``count`` smallest reference eigenvalues of a domain, ascending
+    and with multiplicity, from its :data:`DOMAINS` row."""
+    if domain not in DOMAINS:
+        raise StudyError(f"unknown domain {domain!r}")
+    ref = DOMAINS[domain][2]
+    if callable(ref):
+        return ref(count)
+    if count > len(ref):
+        raise StudyError(f"only {len(ref)} reference values known for the "
+                         f"{domain} domain")
+    return np.array(ref[:count])
 
 
 def compute_rates(errors, ns=None):
@@ -94,14 +103,15 @@ def compute_rates(errors, ns=None):
 
 @dataclass(frozen=True)
 class StudyConfig:
-    """One convergence study: a domain, a strictly increasing mesh
-    parameter list, a formulation (optionally a second one for pairwise
-    comparison) and either a reference catalog id or 'pairwise'."""
+    """One convergence study: a domain of :data:`DOMAINS`, a strictly
+    increasing mesh parameter list and a formulation, compared against the
+    domain's reference or, when ``spec_b`` is given, against that second
+    formulation on the same meshes.  A setting the domain's mesh does not
+    read must keep its default."""
 
     domain: str
     ns: tuple
     spec: FormulationSpec
-    reference: str
     spec_b: FormulationSpec | None = None
     nev: int = 10
     diagonal: str = "right"
@@ -116,9 +126,16 @@ class StudyConfig:
             raise StudyError("mesh parameter list must be strictly increasing")
         if self.nev < 1:
             raise StudyError("nev must be >= 1")
-        if self.reference == "pairwise" and self.spec_b is None:
-            raise StudyError("pairwise mode needs a second formulation")
+        if self.domain not in DOMAINS:
+            raise StudyError(f"unknown domain {self.domain!r}")
+        for name, why in _UNREAD.items():
+            value = getattr(self, name)
+            if name not in DOMAINS[self.domain][1] and value != _STUDY_DEFAULTS[name]:
+                raise StudyError(why.format(self.domain, value))
         object.__setattr__(self, "ns", ns)
+
+
+_STUDY_DEFAULTS = {f.name: f.default for f in fields(StudyConfig)}
 
 
 @dataclass
@@ -136,30 +153,11 @@ class StudyReport:
 
 
 def build_domain_mesh(config, n):
-    """The mesh of ``config.domain`` at parameter n, with its interior
-    perturbed when ``config.perturb_amplitude`` > 0 and the cells in
-    ``config.material_box`` tagged 1.
-
-    A setting the domain's builder has no use for raises
-    :class:`StudyError`: a side other than pi on the L-shape and the slit,
-    whose size is fixed, and a diagonal other than 'right' on the cube.
-    """
-    if config.domain in ("lshape", "slit") and config.side != math.pi:
-        raise StudyError(f"the {config.domain} domain has a fixed size; "
-                         f"side = {config.side:g} does not apply")
-    if config.domain == "cube" and config.diagonal != "right":
-        raise StudyError(f"the cube mesh has one split; diagonal = "
-                         f"{config.diagonal!r} does not apply")
-    if config.domain == "square":
-        m = meshmod.build_structured_square(n, config.side, config.diagonal)
-    elif config.domain == "lshape":
-        m = meshmod.build_lshape(n, config.diagonal)
-    elif config.domain == "slit":
-        m = meshmod.build_slit(n, config.diagonal)
-    elif config.domain == "cube":
-        m = meshmod.build_structured_cube(n, config.side)
-    else:
-        raise StudyError(f"unknown domain {config.domain!r}")
+    """The mesh of ``config.domain`` at parameter n, from its
+    :data:`DOMAINS` row, with its interior perturbed when
+    ``config.perturb_amplitude`` > 0 and the cells in
+    ``config.material_box`` tagged 1."""
+    m = DOMAINS[config.domain][0](n, config)
     if config.perturb_amplitude > 0:
         m = meshmod.perturb_interior(m, config.perturb_amplitude, config.perturb_seed)
     if config.material_box is not None:
@@ -184,26 +182,27 @@ def solve_spectrum(mesh, spec, nev):
 
 
 def run_study(config):
-    """Run the configured study over its mesh sequence."""
+    """Run the configured study over its mesh sequence.  The domain's
+    reference is looked up before the first solve."""
     nev = config.nev
+    pairwise = config.spec_b is not None
+    ref = None if pairwise else reference_spectrum(config.domain, nev)
     eigs, eigs_b, times = [], [], []
     for n in config.ns:
         t0 = time.perf_counter()
         m = build_domain_mesh(config, n)
         try:
             lam, _ = solve_spectrum(m, config.spec, nev)
-            if config.reference == "pairwise":
+            if pairwise:
                 lam_b, _ = solve_spectrum(m, config.spec_b, nev)
                 eigs_b.append(lam_b)
         except PencilError as e:
             raise PencilError(f"solver failed at n={n}: {e}") from e
         eigs.append(lam)
         times.append(time.perf_counter() - t0)
-    if config.reference == "pairwise":
-        ref = None
+    if pairwise:
         errors = [np.abs(a - b) for a, b in zip(eigs, eigs_b)]
     else:
-        ref = reference_spectrum(config.reference, nev)
         errors = [np.abs(lam - ref) for lam in eigs]
         eigs_b = None
     rates = []

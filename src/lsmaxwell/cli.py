@@ -14,8 +14,8 @@ import sys
 
 from . import mesh as meshmod
 from .assembly import AssemblyError, CoefficientField
-from .bench import (StudyConfig, StudyError, build_domain_mesh, render_report,
-                    run_study, solve_spectrum)
+from .bench import (DOMAINS, StudyConfig, StudyError, build_domain_mesh,
+                    render_report, run_study, solve_spectrum)
 from .elements import ElementError
 from .formulations import FormulationSpec
 from .mesh import MeshError
@@ -27,7 +27,7 @@ _VALIDATION = (StudyError, AssemblyError, MeshError, ElementError, ValueError)
 # every key the commands read; any other key is a typo and fails the run
 _CONFIG_KEYS = frozenset((
     "formulation", "elements_v", "elements_q", "gauge", "bc", "domain",
-    "n_list", "n", "side", "reference", "nev", "diagonal", "perturb", "seed",
+    "n_list", "n", "side", "nev", "diagonal", "perturb", "seed",
     "eps_outside", "eps_inside", "mu_outside", "mu_inside"))
 
 
@@ -72,7 +72,10 @@ def spec_from_config(cfg):
     return FormulationSpec(coeff=coeff, **given)
 
 
-def study_config_from(cfg, spec=None, spec_b=None, reference=None, nev=None):
+def study_config_from(cfg, cfg_b=None, nev=None):
+    """The study of a parsed config, pairwise against the formulation of
+    ``cfg_b`` if given.  A material in either config tags the quarter box;
+    a config without one has equal values on both tags."""
     domain = cfg.get("domain", "square")
     if "n_list" in cfg:
         ns = tuple(int(t) for t in cfg["n_list"].replace(",", " ").split())
@@ -81,16 +84,15 @@ def study_config_from(cfg, spec=None, spec_b=None, reference=None, nev=None):
     else:
         raise StudyError("config needs 'n' or 'n_list'")
     side = float(cfg.get("side", math.pi))
-    spec = spec or spec_from_config(cfg)
-    _, has_material = _coeff_from(cfg)
+    spec = spec_from_config(cfg)
+    spec_b = None if cfg_b is None else spec_from_config(cfg_b)
     box = None
-    if has_material:
+    if any(_coeff_from(c)[1] for c in (cfg, cfg_b or {})):
         if domain != "square":
             raise StudyError("material subdomains are defined on the square only")
         box = ((0.0, 0.0), (side / 2, side / 2))
-    reference = reference or cfg.get("reference", domain)
     return StudyConfig(
-        domain=domain, ns=ns, spec=spec, reference=reference, spec_b=spec_b,
+        domain=domain, ns=ns, spec=spec, spec_b=spec_b,
         nev=nev if nev is not None else int(cfg.get("nev", 10)),
         diagonal=cfg.get("diagonal", "right"), side=side,
         perturb_amplitude=float(cfg.get("perturb", 0.0)),
@@ -100,9 +102,8 @@ def study_config_from(cfg, spec=None, spec_b=None, reference=None, nev=None):
 
 def cmd_mesh(args):
     config = StudyConfig(domain=args.domain, ns=(args.n,), spec=FormulationSpec(),
-                         reference=args.domain, diagonal=args.diagonal,
-                         side=args.side, perturb_amplitude=args.perturb,
-                         perturb_seed=args.seed)
+                         diagonal=args.diagonal, side=args.side,
+                         perturb_amplitude=args.perturb, perturb_seed=args.seed)
     m = build_domain_mesh(config, args.n)
     with open(args.out, "w") as f:
         f.write(meshmod.write_mesh_text(m))
@@ -135,9 +136,7 @@ def cmd_compare(args):
     for key in ("domain", "n_list", "n", "perturb", "seed", "diagonal", "side"):
         if cfg_a.get(key) != cfg_b.get(key):
             raise StudyError(f"configs disagree on {key!r}")
-    config = study_config_from(cfg_a, spec=spec_from_config(cfg_a),
-                               spec_b=spec_from_config(cfg_b),
-                               reference="pairwise")
+    config = study_config_from(cfg_a, cfg_b)
     report = run_study(config)
     with open(args.out, "w") as f:
         f.write(render_report(report, "csv"))
@@ -149,7 +148,7 @@ def make_parser():
     sub = p.add_subparsers(dest="command", required=True)
 
     pm = sub.add_parser("mesh", help="export a benchmark mesh")
-    pm.add_argument("domain", choices=("square", "lshape", "slit", "cube"))
+    pm.add_argument("domain", choices=tuple(DOMAINS))
     pm.add_argument("--n", type=int, required=True)
     pm.add_argument("--side", type=float, default=math.pi)
     pm.add_argument("--diagonal", default="right",

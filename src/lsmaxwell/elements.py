@@ -29,12 +29,6 @@ class ElementError(ValueError):
     """Unsupported degree, dimension or reference point."""
 
 
-def lagrange_dof_count(k, dim):
-    if dim == 2:
-        return (k + 1) * (k + 2) // 2
-    return (k + 1) * (k + 2) * (k + 3) // 6
-
-
 def _barycentric(points, dim):
     pts = np.atleast_2d(np.asarray(points, dtype=float))
     lam0 = 1.0 - pts.sum(axis=1)

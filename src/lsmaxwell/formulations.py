@@ -54,6 +54,9 @@ class FormulationSpec:
             if not ok:
                 raise AssemblyError(f"{self.kind} fixes {name} = {want!r}, got {got!r}")
             object.__setattr__(self, name, want)
+        if self.kind == "ls2d" and self.elements_q not in ("p1", "p2"):
+            raise AssemblyError(f"ls2d takes elements_q = 'p1' or 'p2', "
+                                f"got {self.elements_q!r}")
         if self.bc not in ("standard", "mixed_slit"):
             raise AssemblyError(f"unknown bc mode {self.bc!r}")
         if self.gauge not in ("multiplier", "none"):
@@ -161,7 +164,7 @@ def _ls_pencil(mesh, spec):
         start += size
     K = _from_blocks(ranges, half, symmetric=True)
     M = _from_blocks(ranges, {("u", "p"): D})
-    pencil = BlockPencil(K, M, ranges, primary="p", blocks=blocks, spaces=spaces,
+    pencil = BlockPencil(K, M, ranges, blocks=blocks, spaces=spaces,
                          flags={"kind": spec.kind, "bc": bc, "gauge": gauge,
                                 "theory_covered": spec.kind != "ls3d_twofield_nodal"})
     return validate_pencil(pencil)

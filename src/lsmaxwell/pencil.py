@@ -59,9 +59,9 @@ class BlockPencil:
     """Assembled generalized eigenproblem with block structure.
 
     ``ranges`` maps block names to slices of the global vector in order,
-    e.g. {'u': ..., 'p': ..., 'w': ..., 'lm': ...}.  ``primary`` names the
-    block through which M acts on the eigenvector; it must not vanish for
-    a pair to count as an eigensolution.  ``blocks`` optionally keeps the
+    e.g. {'u': ..., 'p': ..., 'w': ..., 'lm': ...}.  M acts on the
+    eigenvector through its 'p' block, which must not vanish for a pair to
+    count as an eigensolution.  ``blocks`` optionally keeps the
     matrices K and M were formed from ('A', 'B', 'C', 'D', and the gauge
     blocks 'mean_row', 'G', 'Gd') for validation and the Schur reduction;
     the bordered blocks are the slices of K past ``ranges['u']``.
@@ -70,7 +70,6 @@ class BlockPencil:
     K: sparse.csr_matrix
     M: sparse.csr_matrix
     ranges: dict
-    primary: str = "p"
     blocks: dict = field(default_factory=dict)
     spaces: dict = field(default_factory=dict)
     flags: dict = field(default_factory=dict)
@@ -235,7 +234,7 @@ def filter_spectrum(pencil, lambdas, vectors, residual_tol=RESIDUAL_TOL):
 
     Discards (with recorded reason): eigenvalues beyond ``FINITE_CUTOFF``
     ('infinite'), pairs failing the residual bound ('residual'), vanishing
-    primary components ('p_zero'), directions annihilated by M
+    'p' components ('p_zero'), directions annihilated by M
     ('degenerate'), and residually complex pairs ('complex').
     """
     K, M = pencil.K, pencil.M
@@ -253,7 +252,7 @@ def filter_spectrum(pencil, lambdas, vectors, residual_tol=RESIDUAL_TOL):
             discarded.append(("infinite", lam))
             continue
         nz = np.linalg.norm(z)
-        zp = z[pencil.ranges[pencil.primary]]
+        zp = z[pencil.ranges["p"]]
         if nz == 0 or np.linalg.norm(zp) <= P_ZERO_TOL * nz:
             discarded.append(("p_zero", lam))
             continue

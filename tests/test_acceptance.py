@@ -60,8 +60,7 @@ def test_c01_square_sanity():
     for elements, published_errors in (("ned0", EDGE_SQUARE_ERRORS),
                                    ("p1", NODAL_SQUARE_ERRORS)):
         cfg = StudyConfig(domain="square", ns=(16, 32, 64),
-                          spec=FormulationSpec(kind="ls2d", elements_v=elements),
-                          reference="square")
+                          spec=FormulationSpec(kind="ls2d", elements_v=elements))
         rep = run_study(cfg)
         for k, n in enumerate(rep.ns):
             for mode in range(10):
@@ -80,7 +79,6 @@ def test_c01_square_sanity():
 def test_c02_nonuniform_square():
     cfg = StudyConfig(domain="square", ns=(16, 32, 64),
                       spec=FormulationSpec(kind="ls2d", elements_v="p1"),
-                      reference="square",
                       perturb_amplitude=0.2, perturb_seed=1)
     rep = run_study(cfg)
     for mode in range(10):
@@ -92,7 +90,7 @@ def test_c02_nonuniform_square():
 def test_c03_lshape():
     cfg = StudyConfig(domain="lshape", ns=(16, 32, 64),
                       spec=FormulationSpec(kind="ls2d", elements_v="p1"),
-                      reference="lshape", nev=5, diagonal="crisscross")
+                      nev=5, diagonal="crisscross")
     rep = run_study(cfg)
     lam64 = rep.eigenvalues[-1]
     assert abs(lam64[0] - 1.47562) <= 0.02
@@ -108,7 +106,7 @@ def test_c03_lshape():
 def test_c04_slit():
     cfg = StudyConfig(domain="slit", ns=(16, 32, 64),
                       spec=FormulationSpec(kind="ls2d", elements_v="p1"),
-                      reference="slit", nev=10, diagonal="crisscross")
+                      nev=10, diagonal="crisscross")
     rep = run_study(cfg)
     for r in rep.rates[0][1:]:
         assert 0.85 <= r <= 1.25, r
@@ -122,7 +120,7 @@ def test_c05_mixed_bc_slit():
         spec=FormulationSpec(kind="ls2d", elements_v="p1", bc="mixed_slit",
                              gauge="none"),
         spec_b=FormulationSpec(kind="galerkin_laplace", bc="mixed_slit"),
-        reference="pairwise", diagonal="crisscross")
+        diagonal="crisscross")
     rep = run_study(cfg)
     for rank in range(10):
         assert rep.errors[0][rank] > rep.errors[1][rank] > rep.errors[2][rank], rank
@@ -141,7 +139,7 @@ def test_c06_jumping_coefficients(case, coeff):
         domain="square", ns=(32, 64, 128),
         spec=FormulationSpec(kind="ls2d", elements_v="p1", coeff=coeff),
         spec_b=FormulationSpec(kind="curlcurl_edge", coeff=coeff),
-        reference="pairwise", material_box=QUARTER)
+        material_box=QUARTER)
     rep = run_study(StudyConfig(**base))
     for rank in range(10):
         d = [rep.errors[k][rank] for k in range(3)]
@@ -188,7 +186,7 @@ def test_c08_cube_twofield_nodal():
     exact = np.array([2, 2, 2, 3, 3], dtype=float)
     for perturb in (0.0, 0.2):
         cfg = StudyConfig(domain="cube", ns=(4, 8, 16), spec=spec,
-                          reference="cube", nev=5,
+                          nev=5,
                           perturb_amplitude=perturb, perturb_seed=1)
         rep = run_study(cfg)
         for mode in range(5):

@@ -9,8 +9,7 @@ import scipy.sparse as sparse
 from lsmaxwell import assembly, elements, formulations
 from lsmaxwell.assembly import (FORMS, AssemblyError, CoefficientField,
                                 assemble, build_space, discrete_gradient,
-                                eliminate_constraints, expand_vector,
-                                write_matrix_text)
+                                eliminate_constraints)
 from lsmaxwell.formulations import FormulationSpec, build_pencil
 from lsmaxwell.mesh import (Mesh, boundary_facets_of, build_lshape, build_slit,
                             build_structured_cube, build_structured_square,
@@ -546,24 +545,6 @@ class TestEliminate:
             assert red.format == "csr"
             assert _same_matrix(red, want)
             assert not np.shares_memory(red.data, mat.data)
-
-    def test_expand_vector(self):
-        out = expand_vector(np.array([1.0, 2.0]), np.array([1, 3]), 5)
-        assert np.allclose(out, [0, 1, 0, 2, 0])
-
-
-class TestExport:
-    def test_coordinate_format(self):
-        m = single_triangle_mesh([[0, 0], [1, 0], [0, 1]])
-        P = build_space(m, "p1")
-        M = assemble("mass_scalar", P, P)
-        text = write_matrix_text(M)
-        lines = text.strip().splitlines()
-        nr, nc, nnz = (int(t) for t in lines[0].split())
-        assert (nr, nc) == M.shape
-        assert nnz == len(lines) - 1
-        i, j, v = lines[1].split()
-        assert M[int(i), int(j)] == float(v)
 
 
 class TestCoefficients:

@@ -1,9 +1,11 @@
+import itertools
 import math
 
 import numpy as np
 import pytest
 
-from lsmaxwell.bench import (StudyConfig, StudyError, compute_rates,
+from lsmaxwell import bench
+from lsmaxwell.bench import (DOMAINS, StudyConfig, StudyError, compute_rates,
                              parse_report_csv, reference_spectrum,
                              render_report, run_study)
 from lsmaxwell.formulations import FormulationSpec
@@ -50,6 +52,23 @@ class TestReferences:
         with pytest.raises(StudyError):
             reference_spectrum("lshape", 6)
 
+    @pytest.mark.parametrize("domain,dim", [("square", 2), ("cube", 3)])
+    def test_cavity_matches_index_loops(self, domain, dim):
+        # |k|^2 with at least dim - 1 positive indices; in 3D the triples
+        # with all three positive carry two polarisations
+        for count in (1, 2, 7, 50, 200):
+            r = math.isqrt(4 * count) + 2
+            vals = []
+            for k in itertools.product(range(r + 1), repeat=dim):
+                pos = sum(i > 0 for i in k)
+                if dim == 2 and pos > 0:
+                    vals.append(sum(i * i for i in k))
+                elif dim == 3 and pos >= 2:
+                    vals += [sum(i * i for i in k)] * (2 if pos == 3 else 1)
+            want = np.sort(np.array(vals, dtype=float))[:count]
+            got = reference_spectrum(domain, count)
+            assert got.dtype == want.dtype and np.array_equal(got, want)
+
 
 class TestRates:
     def test_printed_rate_convention(self):
@@ -83,19 +102,34 @@ class TestStudyConfig:
     def test_validation(self):
         spec = FormulationSpec(kind="ls2d")
         with pytest.raises(StudyError):
-            StudyConfig(domain="square", ns=(8, 8), spec=spec, reference="square")
+            StudyConfig(domain="square", ns=(8, 8), spec=spec)
         with pytest.raises(StudyError):
-            StudyConfig(domain="square", ns=(8,), spec=spec, reference="square",
-                        nev=0)
-        with pytest.raises(StudyError):
-            StudyConfig(domain="square", ns=(8,), spec=spec, reference="pairwise")
+            StudyConfig(domain="square", ns=(8,), spec=spec, nev=0)
+        with pytest.raises(StudyError, match="unknown domain 'disk'"):
+            StudyConfig(domain="disk", ns=(8,), spec=spec)
+
+    @pytest.mark.parametrize("domain,setting", [("lshape", {"side": 2.0}),
+                                                ("slit", {"side": 2.0}),
+                                                ("cube", {"diagonal": "left"})])
+    def test_unread_setting_rejected(self, domain, setting):
+        # the mesh of the domain has no use for the setting: the config
+        # fails when it is made, not when its first mesh is built
+        spec = FormulationSpec(kind="ls2d")
+        with pytest.raises(StudyError, match="does not apply"):
+            StudyConfig(domain=domain, ns=(2,), spec=spec, **setting)
+
+    @pytest.mark.parametrize("domain", sorted(DOMAINS))
+    def test_read_settings_accepted(self, domain):
+        reads = {"side": 2.0, "diagonal": "crisscross"}
+        kw = {name: reads[name] for name in DOMAINS[domain][1]}
+        cfg = StudyConfig(domain=domain, ns=(2,), spec=FormulationSpec(), **kw)
+        assert bench.build_domain_mesh(cfg, 2).num_cells > 0
 
 
 class TestRunStudy:
     def test_reference_mode(self):
         cfg = StudyConfig(domain="square", ns=(4, 8),
-                          spec=FormulationSpec(kind="ls2d"), reference="square",
-                          nev=3)
+                          spec=FormulationSpec(kind="ls2d"), nev=3)
         rep = run_study(cfg)
         assert len(rep.eigenvalues) == 2
         for mode in range(3):
@@ -107,11 +141,22 @@ class TestRunStudy:
         cfg = StudyConfig(domain="square", ns=(4, 8),
                           spec=FormulationSpec(kind="ls2d", elements_v="p1"),
                           spec_b=FormulationSpec(kind="galerkin_laplace"),
-                          reference="pairwise", nev=3)
+                          nev=3)
         rep = run_study(cfg)
         assert rep.reference is None
         for k in range(3):
             assert rep.errors[1][k] < rep.errors[0][k]
+
+    @pytest.mark.parametrize("domain,nev", [("lshape", 6), ("slit", 11)])
+    def test_reference_checked_before_solving(self, monkeypatch, domain, nev):
+        calls = []
+        monkeypatch.setattr(bench, "solve_spectrum",
+                            lambda *args: calls.append(args))
+        cfg = StudyConfig(domain=domain, ns=(2, 4), spec=FormulationSpec(),
+                          nev=nev)
+        with pytest.raises(StudyError, match="reference values known"):
+            run_study(cfg)
+        assert calls == []
 
     def test_pairing_stability(self):
         # multiplicity-2 pairs consumed in ascending order: permuting equal
@@ -125,8 +170,7 @@ class TestRunStudy:
 
     def test_determinism_bytes(self):
         cfg = StudyConfig(domain="square", ns=(4, 8),
-                          spec=FormulationSpec(kind="ls2d"), reference="square",
-                          nev=3)
+                          spec=FormulationSpec(kind="ls2d"), nev=3)
         a = render_report(run_study(cfg), "csv")
         b = render_report(run_study(cfg), "csv")
         assert a == b
@@ -135,8 +179,7 @@ class TestRunStudy:
 @pytest.fixture(scope="module")
 def report():
     cfg = StudyConfig(domain="square", ns=(4, 8),
-                      spec=FormulationSpec(kind="ls2d"), reference="square",
-                      nev=3)
+                      spec=FormulationSpec(kind="ls2d"), nev=3)
     return run_study(cfg)
 
 

@@ -93,6 +93,14 @@ class TestSolveCommand:
                    "--out", str(tmp_path / "s.csv")])
         assert rc == 2
 
+    def test_ls2d_edge_potential_names_the_key(self, tmp_path, capsys):
+        cfg = write(tmp_path, "q.cfg", BASE_CFG.replace("elements_q = p1",
+                                                        "elements_q = ned0"))
+        out = tmp_path / "s.csv"
+        assert main(["solve", "--config", cfg, "--out", str(out)]) == 2
+        assert "elements_q" in capsys.readouterr().err
+        assert not out.exists()
+
 
     def test_3d_kind_rejects_fields_it_fixes(self, tmp_path, capsys):
         # each of these settings used to be ignored without a word; the
@@ -231,6 +239,32 @@ class TestCompareCommand:
         errs = [float(r.split(",")[4]) for r in rows[1:3]]
         assert errs[1] < errs[0]
 
+    def test_material_of_second_config(self, tmp_path):
+        # the quarter is tagged when either config has a material; a config
+        # without one has equal values on both tags
+        cfg_a = write(tmp_path, "a.cfg",
+                      "domain = square\nn_list = 4 8\nelements_v = p1\nnev = 5\n")
+        plain = "domain = square\nn_list = 4 8\nformulation = curlcurl_edge\nnev = 5\n"
+        csv = {}
+        for name, extra in (("plain", ""), ("eps", "eps_inside = 100\n")):
+            cfg_b = write(tmp_path, f"{name}.cfg", plain + extra)
+            out = tmp_path / f"{name}.csv"
+            assert main(["compare", "--config-a", cfg_a, "--config-b", cfg_b,
+                         "--out", str(out)]) == 0
+            csv[name] = out.read_text()
+        assert csv["eps"] != csv["plain"]
+        # the material of config B reaches only config B's pencil
+        lam_a = [r.split(",")[2] for r in csv["eps"].splitlines()[1:]]
+        assert lam_a == [r.split(",")[2] for r in csv["plain"].splitlines()[1:]]
+
+    def test_material_of_second_config_needs_the_square(self, tmp_path, capsys):
+        cfg_a = write(tmp_path, "a.cfg", "domain = lshape\nn = 2\nnev = 3\n")
+        cfg_b = write(tmp_path, "b.cfg", "domain = lshape\nn = 2\nnev = 3\n"
+                      "formulation = curlcurl_edge\nmu_inside = 4\n")
+        assert main(["compare", "--config-a", cfg_a, "--config-b", cfg_b,
+                     "--out", str(tmp_path / "d.csv")]) == 2
+        assert "square only" in capsys.readouterr().err
+
     def test_mismatched_configs(self, tmp_path):
         cfg_a = write(tmp_path, "a.cfg", BASE_CFG)
         cfg_b = write(tmp_path, "b.cfg", BASE_CFG.replace("n_list = 4, 8",
@@ -251,6 +285,15 @@ class TestConfigParser:
         cfg = write(tmp_path, "c.cfg", "domain = square\nn_list = 4\nevn = 5\n")
         with pytest.raises(StudyError, match="'evn'"):
             parse_config(cfg)
+
+    def test_reference_key_removed(self, tmp_path, capsys):
+        # a study compares against its own domain's reference; the key that
+        # chose another one (a square study against the cube) is gone
+        cfg = write(tmp_path, "c.cfg", BASE_CFG + "reference = cube\n")
+        out = tmp_path / "r.csv"
+        assert main(["study", "--config", cfg, "--out", str(out)]) == 2
+        assert "unknown config key 'reference'" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_unknown_key_exit_code(self, tmp_path, capsys):
         cfg = write(tmp_path, "typo.cfg", BASE_CFG + "elements_w = p1\n")

@@ -5,8 +5,7 @@ import numpy as np
 import pytest
 
 from lsmaxwell.elements import (ElementError, REF_EDGES, eval_lagrange,
-                                eval_nedelec2d, eval_nedelec3d,
-                                lagrange_dof_count, quadrature)
+                                eval_nedelec2d, eval_nedelec3d, quadrature)
 
 
 def random_reference_points(dim, n, seed=0):
@@ -21,10 +20,10 @@ def random_reference_points(dim, n, seed=0):
 
 class TestLagrange:
     def test_dof_counts(self):
-        assert lagrange_dof_count(1, 2) == 3
-        assert lagrange_dof_count(2, 2) == 6
-        assert lagrange_dof_count(1, 3) == 4
-        assert lagrange_dof_count(2, 3) == 10
+        for k, dim, ndof in ((1, 2, 3), (2, 2, 6), (1, 3, 4), (2, 3, 10)):
+            vals, grads = eval_lagrange(k, dim, np.zeros((2, dim)))
+            assert vals.shape == (2, ndof)
+            assert grads.shape == (2, ndof, dim)
 
     def test_p1_barycenter(self):
         vals, _ = eval_lagrange(1, 2, [[1 / 3, 1 / 3]])

@@ -80,6 +80,12 @@ class TestLs2d:
         with pytest.raises(AssemblyError, match="unknown gauge mode 'bogus'"):
             FormulationSpec(kind="ls2d", gauge="bogus")
 
+    @pytest.mark.parametrize("q", ["ned0", "p3"])
+    def test_potential_element_rejected(self, q):
+        # an edge potential used to fail only inside assembly
+        with pytest.raises(AssemblyError, match=f"elements_q = 'p1' or 'p2', got '{q}'"):
+            FormulationSpec(kind="ls2d", elements_q=q)
+
     def test_wrong_dimension(self):
         mc = build_structured_cube(1)
         with pytest.raises(AssemblyError):

@@ -12,10 +12,10 @@ from lsmaxwell.pencil import (BlockPencil, PencilError, SingularBlockError,
                               validate_pencil)
 
 
-def toy_pencil(K, M, primary="p"):
+def toy_pencil(K, M):
     n = K.shape[0]
     return BlockPencil(sparse.csr_matrix(K), sparse.csr_matrix(M),
-                       {"u": slice(0, 0), "p": slice(0, n)}, primary=primary)
+                       {"u": slice(0, 0), "p": slice(0, n)})
 
 
 class TestFactorize:
@@ -139,7 +139,7 @@ class TestFilter:
         M = np.diag([1.0, 1.0])
         n = 2
         pen = BlockPencil(sparse.csr_matrix(K), sparse.csr_matrix(M),
-                          {"u": slice(0, 1), "p": slice(1, 2)}, primary="p")
+                          {"u": slice(0, 1), "p": slice(1, 2)})
         # vector supported only on the u block
         sol = filter_spectrum(pen, np.array([2.0]), np.array([[1.0], [0.0]]))
         assert len(sol.eigenvalues) == 0
@@ -219,7 +219,7 @@ class TestStructure:
     def test_validate_rejects_broken_identity(self):
         m = build_structured_square(2)
         pen = ls_maxwell_2d(m, FormulationSpec(kind="ls2d"))
-        bad = BlockPencil(pen.K, pen.M, pen.ranges, primary="p",
+        bad = BlockPencil(pen.K, pen.M, pen.ranges,
                           blocks={"B": pen.blocks["B"], "D": -pen.blocks["D"]})
         with pytest.raises(PencilError):
             validate_pencil(bad)
