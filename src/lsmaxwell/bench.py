@@ -28,25 +28,25 @@ class StudyError(ValueError):
 
 
 def _cavity(dim):
-    """The Maxwell spectrum of the cavity [0, pi]^dim as a function of the
-    count: |k|^2 over index tuples k >= 0 with at least dim - 1 positive
-    entries, counted dim - 1 times (once per polarisation) when all are
-    positive."""
-    def spectrum(count):
+    """The Maxwell spectrum of the cavity [0, side]^dim as a function of the
+    count and the side: (pi / side)^2 |k|^2 over index tuples k >= 0 with at
+    least dim - 1 positive entries, counted dim - 1 times (once per
+    polarisation) when all are positive."""
+    def spectrum(count, side):
         r = math.isqrt(4 * count) + 2
         vals = []
         for k in itertools.product(range(r + 1), repeat=dim):
             pos = sum(i > 0 for i in k)
             if pos >= dim - 1:
                 vals += [sum(i * i for i in k)] * (dim - 1 if pos == dim else 1)
-        return np.sort(np.array(vals, dtype=float))[:count]
+        return np.sort(np.array(vals, dtype=float))[:count] * (math.pi / side) ** 2
     return spectrum
 
 
 # domain -> (its mesh at n for a config; the config settings that mesh reads
-# besides n; its reference spectrum, a function of the count or a tabulated
-# tuple).  The L-shape and the cracked (slit) square have a fixed size and
-# tabulated benchmark values.
+# besides n; its reference spectrum, a function of the count and the side or
+# a tabulated tuple).  The L-shape and the cracked (slit) square have a fixed
+# size and tabulated benchmark values.
 DOMAINS = {
     "square": (lambda n, c: meshmod.build_structured_square(n, c.side, c.diagonal),
                ("side", "diagonal"), _cavity(2)),
@@ -63,14 +63,15 @@ _UNREAD = {"side": "the {0} domain has a fixed size; side = {1:g} does not apply
            "diagonal": "the {0} mesh has one split; diagonal = {1!r} does not apply"}
 
 
-def reference_spectrum(domain, count):
-    """The ``count`` smallest reference eigenvalues of a domain, ascending
-    and with multiplicity, from its :data:`DOMAINS` row."""
+def reference_spectrum(domain, count, side=math.pi):
+    """The ``count`` smallest reference eigenvalues of a domain of the given
+    ``side`` (a fixed-size domain ignores it), ascending and with
+    multiplicity, from its :data:`DOMAINS` row."""
     if domain not in DOMAINS:
         raise StudyError(f"unknown domain {domain!r}")
     ref = DOMAINS[domain][2]
     if callable(ref):
-        return ref(count)
+        return ref(count, side)
     if count > len(ref):
         raise StudyError(f"only {len(ref)} reference values known for the "
                          f"{domain} domain")
@@ -132,6 +133,8 @@ class StudyConfig:
             value = getattr(self, name)
             if name not in DOMAINS[self.domain][1] and value != _STUDY_DEFAULTS[name]:
                 raise StudyError(why.format(self.domain, value))
+        if self.side <= 0:
+            raise StudyError("side must be positive")
         object.__setattr__(self, "ns", ns)
 
 
@@ -186,7 +189,7 @@ def run_study(config):
     reference is looked up before the first solve."""
     nev = config.nev
     pairwise = config.spec_b is not None
-    ref = None if pairwise else reference_spectrum(config.domain, nev)
+    ref = None if pairwise else reference_spectrum(config.domain, nev, config.side)
     eigs, eigs_b, times = [], [], []
     for n in config.ns:
         t0 = time.perf_counter()

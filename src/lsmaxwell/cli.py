@@ -9,7 +9,6 @@ codes: 0 success, 2 validation error, 3 solver failure.
 from __future__ import annotations
 
 import argparse
-import math
 import sys
 
 from . import mesh as meshmod
@@ -52,6 +51,13 @@ def parse_config(path):
     return out
 
 
+# config key or mesh option -> the StudyConfig field it sets and its type;
+# a key left out keeps the field's default
+_STUDY_FIELDS = {"nev": ("nev", int), "perturb": ("perturb_amplitude", float),
+                 "seed": ("perturb_seed", int), "diagonal": ("diagonal", str),
+                 "side": ("side", float)}
+
+
 def _coeff_from(cfg):
     eps_out = float(cfg.get("eps_outside", 1.0))
     eps_in = float(cfg.get("eps_inside", eps_out))
@@ -74,8 +80,9 @@ def spec_from_config(cfg):
 
 def study_config_from(cfg, cfg_b=None, nev=None):
     """The study of a parsed config, pairwise against the formulation of
-    ``cfg_b`` if given.  A material in either config tags the quarter box;
-    a config without one has equal values on both tags."""
+    ``cfg_b`` and with ``nev`` in place of the config's if given.  A material
+    in either config tags the quarter box; a config without one has equal
+    values on both tags."""
     domain = cfg.get("domain", "square")
     if "n_list" in cfg:
         ns = tuple(int(t) for t in cfg["n_list"].replace(",", " ").split())
@@ -83,27 +90,26 @@ def study_config_from(cfg, cfg_b=None, nev=None):
         ns = (int(cfg["n"]),)
     else:
         raise StudyError("config needs 'n' or 'n_list'")
-    side = float(cfg.get("side", math.pi))
     spec = spec_from_config(cfg)
     spec_b = None if cfg_b is None else spec_from_config(cfg_b)
-    box = None
-    if any(_coeff_from(c)[1] for c in (cfg, cfg_b or {})):
-        if domain != "square":
-            raise StudyError("material subdomains are defined on the square only")
-        box = ((0.0, 0.0), (side / 2, side / 2))
-    return StudyConfig(
-        domain=domain, ns=ns, spec=spec, spec_b=spec_b,
-        nev=nev if nev is not None else int(cfg.get("nev", 10)),
-        diagonal=cfg.get("diagonal", "right"), side=side,
-        perturb_amplitude=float(cfg.get("perturb", 0.0)),
-        perturb_seed=int(cfg.get("seed", 1)),
-        material_box=box)
+    material = any(_coeff_from(c)[1] for c in (cfg, cfg_b or {}))
+    if material and domain != "square":
+        raise StudyError("material subdomains are defined on the square only")
+    given = {name: conv(cfg[key]) for key, (name, conv) in _STUDY_FIELDS.items()
+             if key in cfg}
+    if nev is not None:
+        given["nev"] = nev
+    if material:
+        half = given.get("side", StudyConfig.side) / 2
+        given["material_box"] = ((0.0, 0.0), (half, half))
+    return StudyConfig(domain=domain, ns=ns, spec=spec, spec_b=spec_b, **given)
 
 
 def cmd_mesh(args):
+    given = {name: getattr(args, key) for key, (name, _) in _STUDY_FIELDS.items()
+             if hasattr(args, key)}
     config = StudyConfig(domain=args.domain, ns=(args.n,), spec=FormulationSpec(),
-                         diagonal=args.diagonal, side=args.side,
-                         perturb_amplitude=args.perturb, perturb_seed=args.seed)
+                         **given)
     m = build_domain_mesh(config, args.n)
     with open(args.out, "w") as f:
         f.write(meshmod.write_mesh_text(m))
@@ -133,7 +139,7 @@ def cmd_study(args):
 def cmd_compare(args):
     cfg_a = parse_config(args.config_a)
     cfg_b = parse_config(args.config_b)
-    for key in ("domain", "n_list", "n", "perturb", "seed", "diagonal", "side"):
+    for key in ("domain", "n_list", "n", *_STUDY_FIELDS):
         if cfg_a.get(key) != cfg_b.get(key):
             raise StudyError(f"configs disagree on {key!r}")
     config = study_config_from(cfg_a, cfg_b)
@@ -147,15 +153,15 @@ def make_parser():
     p = argparse.ArgumentParser(prog="lsmaxwell")
     sub = p.add_subparsers(dest="command", required=True)
 
-    pm = sub.add_parser("mesh", help="export a benchmark mesh")
+    pm = sub.add_parser("mesh", help="export a benchmark mesh",
+                        argument_default=argparse.SUPPRESS)
     pm.add_argument("domain", choices=tuple(DOMAINS))
     pm.add_argument("--n", type=int, required=True)
-    pm.add_argument("--side", type=float, default=math.pi)
-    pm.add_argument("--diagonal", default="right",
-                    choices=("right", "left", "crisscross"),
+    pm.add_argument("--side", type=float)
+    pm.add_argument("--diagonal", choices=("right", "left", "crisscross"),
                     help="quad split of square, lshape and slit meshes")
-    pm.add_argument("--perturb", type=float, default=0.0)
-    pm.add_argument("--seed", type=int, default=1)
+    pm.add_argument("--perturb", type=float)
+    pm.add_argument("--seed", type=int)
     pm.add_argument("--out", required=True)
     pm.set_defaults(func=cmd_mesh)
 

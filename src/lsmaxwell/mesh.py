@@ -1,12 +1,14 @@
 """Simplicial meshes for the benchmark domains.
 
-Structured triangulations of squares, the L-shaped domain, the cracked
-(slit) square, and structured tetrahedral cubes.  All constructors are
-deterministic; meshes are treated as immutable after construction.
+Every structured mesh is one masked tensor grid, :func:`_grid_mesh`, in 2D
+or 3D: the square and the cube keep every cell, the L-shape masks out a
+quadrant, and the cracked (slit) square doubles the square's slit vertices.
+Constructors are deterministic; meshes are treated as immutable once built.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field, replace
 
@@ -173,43 +175,51 @@ def validate(mesh):
     return mesh
 
 
-# corner triples per quad split, indexing the quad's (v00, v10, v01, v11,
-# centre); every triangle is positively oriented
+# corner tuples per split and dimension, indexing a cell's corners in C order
+# of their 0/1 offsets: (v00, v10, v01, v11, centre) of a quad, every triangle
+# positively oriented; a Kuhn tetrahedron walks from corner 0, adding 4 >> k
+# for each array axis k in its permutation's order
 _SPLITS = {
-    "right": [(0, 1, 3), (0, 3, 2)],
-    "left": [(0, 1, 2), (1, 3, 2)],
-    "crisscross": [(0, 1, 4), (1, 3, 4), (3, 2, 4), (2, 0, 4)],
+    2: {"right": [(0, 1, 3), (0, 3, 2)],
+        "left": [(0, 1, 2), (1, 3, 2)],
+        "crisscross": [(0, 1, 4), (1, 3, 4), (3, 2, 4), (2, 0, 4)]},
+    3: {"kuhn": [tuple(itertools.accumulate((4 >> k for k in path), initial=0))
+                 for path in itertools.permutations(range(3))]},
 }
 
 
-def _grid_mesh(xs, ys, cxs, cys, keep, diagonal):
-    """Triangulation of the quads ``keep[iy, ix]`` of the tensor grid
-    ``xs`` x ``ys``, each split by ``diagonal`` through :data:`_SPLITS`.
+def _grid_mesh(axes, keep, split, centres=None):
+    """Simplicial mesh of the cells ``keep[i0, i1, ...]`` of the tensor
+    grid with coordinates ``axes[k]`` along array axis k, each cell split
+    by ``split`` through :data:`_SPLITS`.
 
-    The grid vertices that a kept quad touches are numbered row by row (x
-    fastest); a 'crisscross' split appends one centre (cxs[ix], cys[iy])
-    per kept quad, in the same order.  Returns the validated mesh, every
-    boundary facet tagged :data:`EXTERIOR`.
+    The grid vertices that a kept cell touches are numbered in C order of
+    the array axes; a 'crisscross' split appends one centre per kept cell
+    (``centres[k][ik]`` along axis k), in the same order.  The array axes
+    run (y, x) in 2D and (x, y, z) in 3D: the order of the coordinate
+    columns is the only step that depends on the dimension.  Returns the
+    validated mesh, every boundary facet tagged :data:`EXTERIOR`.
     """
-    if diagonal not in _SPLITS:
-        raise MeshError(f"unknown diagonal {diagonal!r}")
-    used = np.zeros((len(ys), len(xs)), dtype=bool)
-    for dy in (0, 1):
-        for dx in (0, 1):
-            used[dy:len(ys) - 1 + dy, dx:len(xs) - 1 + dx] |= keep
-    X, Y = np.meshgrid(xs, ys, indexing="xy")
-    verts = np.column_stack([X[used], Y[used]])
+    dim = keep.ndim
+    if split not in _SPLITS[dim]:
+        raise MeshError(f"unknown diagonal {split!r}")
+    offsets = list(itertools.product((0, 1), repeat=dim))
+    used = np.zeros([len(a) for a in axes], dtype=bool)
+    for off in offsets:
+        used[tuple(slice(o, o + m) for o, m in zip(off, keep.shape))] |= keep
+    coords = [g[used] for g in np.meshgrid(*axes, indexing="ij")]
     vid = np.cumsum(used).reshape(used.shape) - 1
-    iy, ix = np.nonzero(keep)
-    corners = [vid[iy, ix], vid[iy, ix + 1], vid[iy + 1, ix], vid[iy + 1, ix + 1]]
-    if diagonal == "crisscross":
-        corners.append(len(verts) + np.arange(len(ix)))
-        verts = np.vstack([verts, np.column_stack([cxs[ix], cys[iy]])])
-    cells = np.stack(corners, axis=1)[:, _SPLITS[diagonal]].reshape(-1, 3)
-    cells = _orient_positive(verts, cells, 2)
-    bf = boundary_facets_of(cells, 2)
+    cell = np.nonzero(keep)
+    corners = [vid[tuple(i + o for i, o in zip(cell, off))] for off in offsets]
+    if split == "crisscross":
+        corners.append(len(coords[0]) + np.arange(len(cell[0])))
+        coords = [np.concatenate([x, c[i]]) for x, c, i in zip(coords, centres, cell)]
+    verts = np.column_stack(coords[::-1] if dim == 2 else coords)
+    cells = np.stack(corners, axis=1)[:, _SPLITS[dim][split]].reshape(-1, dim + 1)
+    cells = _orient_positive(verts, cells, dim)
+    bf = boundary_facets_of(cells, dim)
     tags = np.array([EXTERIOR] * len(bf), dtype=object)
-    return validate(Mesh(2, verts, cells, bf, tags))
+    return validate(Mesh(dim, verts, cells, bf, tags))
 
 
 def build_structured_square(n, side=math.pi, diagonal="right"):
@@ -225,7 +235,7 @@ def build_structured_square(n, side=math.pi, diagonal="right"):
         raise MeshError("side must be positive")
     xs = side * np.arange(n + 1) / n
     cs = (np.arange(n) + 0.5) * (side / n)
-    return _grid_mesh(xs, xs, cs, cs, np.ones((n, n), dtype=bool), diagonal)
+    return _grid_mesh((xs, xs), np.ones((n, n), dtype=bool), diagonal, (cs, cs))
 
 
 def build_lshape(n, diagonal="right"):
@@ -244,7 +254,7 @@ def build_lshape(n, diagonal="right"):
     xs = -1.0 + np.arange(2 * n + 1) / n
     cs = xs[:-1] + 0.5 / n
     keep = ~((cs[:, None] > 0) & (cs[None, :] > 0))
-    return _grid_mesh(xs, xs, cs, cs, keep, diagonal)
+    return _grid_mesh((xs, xs), keep, diagonal, (cs, cs))
 
 
 def build_slit(n, diagonal="right"):
@@ -281,37 +291,16 @@ def build_slit(n, diagonal="right"):
     return validate(Mesh(2, verts, cells, bf, tags, crack_pairs=crack_pairs))
 
 
-_KUHN_PERMS = [
-    (0, 1, 2), (0, 2, 1), (1, 0, 2), (1, 2, 0), (2, 0, 1), (2, 1, 0),
-]
-# (6, 4, 3) corner offsets of the Kuhn tetrahedra: each walks from corner
-# (0, 0, 0) to (1, 1, 1) one axis at a time, in the order of its permutation
-_KUHN_PATHS = np.concatenate(
-    [np.zeros((6, 1, 3), dtype=np.int64),
-     np.cumsum(np.eye(3, dtype=np.int64)[np.array(_KUHN_PERMS)], axis=1)], axis=1)
-
-
 def build_structured_cube(n, side=math.pi):
-    """Uniform tetrahedral mesh of the cube (0, side)^3: each of the n^3
-    subcubes is split into 6 tetrahedra sharing the main diagonal."""
+    """Uniform tetrahedral mesh of the cube (0, side)^3: :func:`_grid_mesh`
+    keeping all n^3 subcubes, each split into the 6 Kuhn tetrahedra that
+    share its main diagonal."""
     if n < 1:
         raise MeshError("n must be >= 1")
     if side <= 0:
         raise MeshError("side must be positive")
     xs = side * np.arange(n + 1) / n
-    X, Y, Z = np.meshgrid(xs, xs, xs, indexing="ij")
-    # index (ix, iy, iz) -> flat with iz fastest
-    verts = np.column_stack([X.ravel(), Y.ravel(), Z.ravel()])
-    # subcubes (ix, iy, iz) with iz fastest, six tetrahedra each
-    r = np.arange(n)
-    sub = np.stack(np.meshgrid(r, r, r, indexing="ij"), axis=-1).reshape(-1, 1, 1, 3)
-    corner = sub + _KUHN_PATHS
-    cells = ((corner[..., 0] * (n + 1) + corner[..., 1]) * (n + 1)
-             + corner[..., 2]).reshape(-1, 4)
-    cells = _orient_positive(verts, cells, 3)
-    bf = boundary_facets_of(cells, 3)
-    tags = np.array([EXTERIOR] * len(bf), dtype=object)
-    return validate(Mesh(3, verts, cells, bf, tags))
+    return _grid_mesh((xs, xs, xs), np.ones((n, n, n), dtype=bool), "kuhn")
 
 
 def perturb_interior(mesh, amplitude, seed):

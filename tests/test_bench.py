@@ -68,6 +68,10 @@ class TestReferences:
             want = np.sort(np.array(vals, dtype=float))[:count]
             got = reference_spectrum(domain, count)
             assert got.dtype == want.dtype and np.array_equal(got, want)
+            # the cavity of side s has (pi / s)^2 times the side-pi values
+            for side in (2.0, 1.5, 1e-3):
+                got = reference_spectrum(domain, count, side)
+                assert np.array_equal(got, want * (math.pi / side) ** 2)
 
 
 class TestRates:
@@ -107,6 +111,9 @@ class TestStudyConfig:
             StudyConfig(domain="square", ns=(8,), spec=spec, nev=0)
         with pytest.raises(StudyError, match="unknown domain 'disk'"):
             StudyConfig(domain="disk", ns=(8,), spec=spec)
+        # checked when the config is made: the reference divides by it
+        with pytest.raises(StudyError, match="side must be positive"):
+            StudyConfig(domain="square", ns=(8,), spec=spec, side=0.0)
 
     @pytest.mark.parametrize("domain,setting", [("lshape", {"side": 2.0}),
                                                 ("slit", {"side": 2.0}),

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -214,6 +216,18 @@ class TestStudyCommand:
         assert rc == 0
         assert "Exact" in open(out).read()
 
+    def test_reference_scales_with_side(self, tmp_path):
+        # the side-2 square's eigenvalues converge to (pi / 2)^2 times the
+        # side-pi ones, at the second order of the lowest-order pair
+        cfg = write(tmp_path, "s2.cfg", "domain = square\nn_list = 4 8 16\n"
+                                        "side = 2\nnev = 3\n")
+        out = tmp_path / "s2.csv"
+        assert main(["study", "--config", cfg, "--out", str(out)]) == 0
+        rows = [r.split(",") for r in out.read_text().splitlines()[1:]]
+        mode1 = [r for r in rows if r[0] == "1"]
+        assert all(float(r[3]) == (math.pi / 2) ** 2 for r in mode1)
+        assert all(float(r[5]) >= 1.9 for r in mode1[1:])
+
     def test_jumping_coefficients_config(self, tmp_path):
         text = BASE_CFG.replace("elements_v = ned0", "elements_v = p1") + (
             "eps_inside = 1.0\neps_outside = 100.0\n")
@@ -265,13 +279,16 @@ class TestCompareCommand:
                      "--out", str(tmp_path / "d.csv")]) == 2
         assert "square only" in capsys.readouterr().err
 
-    def test_mismatched_configs(self, tmp_path):
+    def test_mismatched_configs(self, tmp_path, capsys):
         cfg_a = write(tmp_path, "a.cfg", BASE_CFG)
-        cfg_b = write(tmp_path, "b.cfg", BASE_CFG.replace("n_list = 4, 8",
-                                                          "n_list = 4, 16"))
-        rc = main(["compare", "--config-a", cfg_a, "--config-b", cfg_b,
-                   "--out", str(tmp_path / "d.csv")])
-        assert rc == 2
+        for key, text in (("n_list", BASE_CFG.replace("n_list = 4, 8", "n_list = 4, 16")),
+                          ("nev", "domain = square\nn_list = 4, 8\nnev = 6\n"
+                                  "formulation = curlcurl_edge\n")):
+            cfg_b = write(tmp_path, "b.cfg", text)
+            rc = main(["compare", "--config-a", cfg_a, "--config-b", cfg_b,
+                       "--out", str(tmp_path / "d.csv")])
+            assert rc == 2
+            assert f"configs disagree on {key!r}" in capsys.readouterr().err
 
 
 class TestConfigParser:

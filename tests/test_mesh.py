@@ -60,6 +60,9 @@ class TestStructuredSquare:
             build_structured_square(2, side=-1.0)
         with pytest.raises(MeshError):
             build_structured_square(2, diagonal="diag")
+        # the cube's split is not a quad split
+        with pytest.raises(MeshError, match="unknown diagonal 'kuhn'"):
+            build_structured_square(2, diagonal="kuhn")
 
     def test_orientation_and_conformity(self):
         for diag in ("right", "left", "crisscross"):
@@ -182,10 +185,13 @@ class TestCube:
         assert set(counts.tolist()) <= {1, 2}
 
 
-def loop_cube_cells(n):
-    """Subcube by subcube (iz fastest), six Kuhn tetrahedra each, swapped
-    to positive orientation one cell at a time."""
-    verts = build_structured_cube(n).vertices
+def loop_cube(n, side):
+    """Vertices point by point and cells subcube by subcube (iz fastest),
+    six Kuhn tetrahedra each, swapped to positive orientation one cell at a
+    time."""
+    xs = side * np.arange(n + 1) / n
+    verts = np.array([[xs[ix], xs[iy], xs[iz]] for ix in range(n + 1)
+                      for iy in range(n + 1) for iz in range(n + 1)])
     vid = lambda ix, iy, iz: (ix * (n + 1) + iy) * (n + 1) + iz
     paths = []
     for perm in ((0, 1, 2), (0, 2, 1), (1, 0, 2), (1, 2, 0), (2, 0, 1), (2, 1, 0)):
@@ -205,7 +211,7 @@ def loop_cube_cells(n):
                     if np.linalg.det(p[1:] - p[0]) < 0:
                         cell[2], cell[3] = cell[3], cell[2]
                     cells.append(cell)
-    return np.array(cells, dtype=np.int64)
+    return verts, np.array(cells, dtype=np.int64)
 
 
 def loop_quad_triangles(v00, v10, v01, v11, diagonal):
@@ -326,12 +332,15 @@ class TestArrayConstruction:
     """The array-based constructions against loop references."""
 
     def test_cube_matches_loop(self):
-        for n in range(1, 6):
-            m = build_structured_cube(n)
-            ref = loop_cube_cells(n)
-            assert m.cells.dtype == ref.dtype
-            assert np.array_equal(m.cells, ref)
-            assert np.array_equal(m.boundary_facets, loop_boundary_facets(ref))
+        for side in (math.pi, 1.5):
+            for n in range(1, 6):
+                m = build_structured_cube(n, side)
+                verts, ref = loop_cube(n, side)
+                assert m.vertices.dtype == verts.dtype
+                assert m.vertices.tobytes() == verts.tobytes()
+                assert m.cells.dtype == ref.dtype
+                assert np.array_equal(m.cells, ref)
+                assert np.array_equal(m.boundary_facets, loop_boundary_facets(ref))
 
     @pytest.mark.parametrize("diagonal", ["right", "left", "crisscross"])
     def test_2d_builders_match_loop(self, diagonal):
