@@ -11,8 +11,7 @@ from .assembly import (CoefficientField, FESpace, assemble, build_space,
                        discrete_gradient, eliminate_constraints)
 from .bench import (StudyConfig, StudyReport, compute_rates, reference_spectrum,
                     render_report, run_study, solve_spectrum)
-from .elements import (QuadratureRule, eval_lagrange, eval_nedelec2d,
-                       eval_nedelec3d, quadrature)
+from .elements import QuadratureRule, eval_lagrange, eval_nedelec, quadrature
 from .formulations import (FormulationSpec, build_pencil, curlcurl_edge,
                            galerkin_laplace, ls_maxwell_2d,
                            ls_maxwell_3d_threefield,
@@ -32,8 +31,7 @@ __all__ = [
     "discrete_gradient", "eliminate_constraints",
     "StudyConfig", "StudyReport", "compute_rates", "reference_spectrum",
     "render_report", "run_study", "solve_spectrum",
-    "QuadratureRule", "eval_lagrange", "eval_nedelec2d", "eval_nedelec3d",
-    "quadrature",
+    "QuadratureRule", "eval_lagrange", "eval_nedelec", "quadrature",
     "FormulationSpec", "build_pencil", "curlcurl_edge", "galerkin_laplace",
     "ls_maxwell_2d", "ls_maxwell_3d_threefield", "ls_maxwell_3d_twofield_nodal",
     "EXTERIOR", "SLIT_BOTTOM", "SLIT_TOP", "Mesh", "build_lshape", "build_slit",

@@ -9,7 +9,11 @@ tensors (Kirby & Logg, ACM TOMS 32(3), 2006): the quadrature is contracted
 once per form on the reference cell, and each cell adds one small
 contraction with its affine map.  The reference tables are computed once
 per process, keyed by form, families and dimension; everything that depends
-on a mesh is shared within one pencil build only.
+on a mesh is shared within one pencil build only.  The element layer has
+one definition per quantity in every dimension: the Whitney functions come
+from ``eval_nedelec(dim, ...)``, the rot and curl maps from its Levi-Civita
+table, and the mesh edges and the edges of each boundary facet from its
+``REF_EDGES``, the former through :func:`lsmaxwell.mesh.unique_edges`.
 """
 
 from __future__ import annotations
@@ -24,8 +28,8 @@ import numpy as np
 import scipy.sparse as sparse
 
 from . import elements
-from .elements import REF_EDGES
-from .mesh import Mesh, _unique_rows
+from .elements import LEVI_CIVITA, REF_EDGES
+from .mesh import Mesh, _unique_rows, unique_edges
 
 _CHUNK = 16384
 _AXIS_TOL = 1e-9
@@ -137,24 +141,17 @@ def _cached(mesh, key, make):
 
 
 def _edge_structure(mesh):
-    loc = REF_EDGES[mesh.dim]
-    pairs = np.concatenate(
-        [np.sort(mesh.cells[:, [i, j]], axis=1) for (i, j) in loc], axis=0)
-    edges, inv = _unique_rows(pairs, return_inverse=True)
-    cell_edges = inv.reshape(len(loc), mesh.num_cells).T.copy()
-    signs = np.concatenate(
-        [np.where(mesh.cells[:, i] < mesh.cells[:, j], 1.0, -1.0) for (i, j) in loc])
-    cell_signs = signs.reshape(len(loc), mesh.num_cells).T.copy()
-    return edges, cell_edges, cell_signs
-
-
-# vertex pairs of the edges of a boundary facet
-_FACET_EDGES = {2: [[0, 1]], 3: [[0, 1], [0, 2], [1, 2]]}
+    """(edges, cell_edges, cell_signs): the mesh edges, and per cell the
+    index and the orientation sign of each local edge in ``REF_EDGES``
+    order."""
+    edges, cell_edges = unique_edges(mesh.cells, return_inverse=True)
+    ends = mesh.cells.take(REF_EDGES[mesh.dim], axis=1)
+    return edges, cell_edges, np.where(ends[..., 0] < ends[..., 1], 1.0, -1.0)
 
 
 def _facet_edges(edges, facets, nv):
     """(nf, edges per facet) global ids of the edges of each facet."""
-    want = np.sort(facets[:, _FACET_EDGES[facets.shape[1]]], axis=2).reshape(-1, 2)
+    want = np.sort(facets[:, REF_EDGES[facets.shape[1] - 1]], axis=2).reshape(-1, 2)
     keys = edges[:, 0].astype(np.int64) * nv + edges[:, 1]
     k = want[:, 0].astype(np.int64) * nv + want[:, 1]
     idx = np.searchsorted(keys, k)
@@ -272,15 +269,6 @@ def _pattern(test_space, trial_space):
     return indptr, (keys % ncols).astype(np.int32), slot.astype(np.int32)
 
 
-# Levi-Civita tensors: rot u = _EPS2[j, c] d_j u_c in 2D and
-# (curl u)_i = _EPS3[i, j, c] d_j u_c in 3D; _EPS2 @ grad p is also the
-# 2D vector curl (d_y p, -d_x p) of a scalar
-_EPS2 = np.array([[0.0, 1.0], [-1.0, 0.0]])
-_EPS3 = np.zeros((3, 3, 3))
-_EPS3[0, 1, 2] = _EPS3[1, 2, 0] = _EPS3[2, 0, 1] = 1.0
-_EPS3[0, 2, 1] = _EPS3[2, 1, 0] = _EPS3[1, 0, 2] = -1.0
-
-
 def _quantity(space, name, pts):
     """Reference tabulation of one basis quantity and its per-cell map.
 
@@ -294,7 +282,7 @@ def _quantity(space, name, pts):
     """
     dim = space.mesh.dim
     if space.kind == "edge":
-        vals, curls = (elements.eval_nedelec2d if dim == 2 else elements.eval_nedelec3d)(pts)
+        vals, curls = elements.eval_nedelec(dim, pts)
         if name == "val":
             return vals, lambda J, detJ, JinvT: JinvT[:, :, None, :]
         if name == "curl" and dim == 2:
@@ -308,14 +296,14 @@ def _quantity(space, name, pts):
         if name == "grad":
             return grads, lambda J, detJ, JinvT: JinvT[:, :, None, :]
         if name == "curl" and dim == 2:
-            return grads, lambda J, detJ, JinvT: (_EPS2 @ JinvT)[:, :, None, :]
+            return grads, lambda J, detJ, JinvT: (LEVI_CIVITA[2] @ JinvT)[:, :, None, :]
     elif space.kind == "vector":
         if name == "val":
             eye = np.eye(dim)[:, :, None]
             return vals[:, :, None], lambda J, detJ, JinvT: np.broadcast_to(
                 eye, (len(detJ),) + eye.shape)
         if name == "curl":
-            eps = _EPS2[None] if dim == 2 else _EPS3
+            eps = LEVI_CIVITA[dim].reshape(-1, dim, dim)
             return grads, lambda J, detJ, JinvT: np.einsum("ijx,cja->cixa", eps, JinvT)
     raise AssemblyError(f"no {name} of a {space.kind} space in {dim}D")
 

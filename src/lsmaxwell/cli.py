@@ -32,11 +32,11 @@ _CONFIG_KEYS = frozenset((
 
 def parse_config(path):
     """Flat key-value config: one 'key = value' (or 'key value') per line,
-    '#' starts a comment.  A key outside ``_CONFIG_KEYS`` raises
-    :class:`StudyError`."""
-    out = {}
+    '#' starts a comment.  A key outside ``_CONFIG_KEYS``, or one given
+    twice, raises :class:`StudyError`."""
+    out, seen = {}, {}
     with open(path) as f:
-        for raw in f:
+        for lineno, raw in enumerate(f, 1):
             line = raw.split("#", 1)[0].strip()
             if not line:
                 continue
@@ -47,7 +47,10 @@ def parse_config(path):
             key = key.strip()
             if key not in _CONFIG_KEYS:
                 raise StudyError(f"unknown config key {key!r} in {path}")
-            out[key] = val.strip()
+            if key in seen:
+                raise StudyError(f"config key {key!r} given twice in {path}, "
+                                 f"on lines {seen[key]} and {lineno}")
+            out[key], seen[key] = val.strip(), lineno
     return out
 
 
@@ -58,11 +61,23 @@ _STUDY_FIELDS = {"nev": ("nev", int), "perturb": ("perturb_amplitude", float),
                  "side": ("side", float)}
 
 
+def _value(cfg, key, conv, default=None):
+    """``conv`` of the config's value of ``key``, or ``default`` when it has
+    none; a value ``conv`` rejects raises :class:`StudyError` naming the
+    key."""
+    if key not in cfg:
+        return default
+    try:
+        return conv(cfg[key])
+    except ValueError as e:
+        raise StudyError(f"config key {key!r}: {e}") from None
+
+
 def _coeff_from(cfg):
-    eps_out = float(cfg.get("eps_outside", 1.0))
-    eps_in = float(cfg.get("eps_inside", eps_out))
-    mu_out = float(cfg.get("mu_outside", 1.0))
-    mu_in = float(cfg.get("mu_inside", mu_out))
+    eps_out = _value(cfg, "eps_outside", float, 1.0)
+    eps_in = _value(cfg, "eps_inside", float, eps_out)
+    mu_out = _value(cfg, "mu_outside", float, 1.0)
+    mu_in = _value(cfg, "mu_inside", float, mu_out)
     coeff = CoefficientField(eps={0: eps_out, 1: eps_in},
                              mu={0: mu_out, 1: mu_in})
     has_material = eps_in != eps_out or mu_in != mu_out
@@ -85,9 +100,9 @@ def study_config_from(cfg, cfg_b=None, nev=None):
     values on both tags."""
     domain = cfg.get("domain", "square")
     if "n_list" in cfg:
-        ns = tuple(int(t) for t in cfg["n_list"].replace(",", " ").split())
+        ns = _value(cfg, "n_list", lambda v: tuple(int(t) for t in v.replace(",", " ").split()))
     elif "n" in cfg:
-        ns = (int(cfg["n"]),)
+        ns = (_value(cfg, "n", int),)
     else:
         raise StudyError("config needs 'n' or 'n_list'")
     spec = spec_from_config(cfg)
@@ -95,7 +110,7 @@ def study_config_from(cfg, cfg_b=None, nev=None):
     material = any(_coeff_from(c)[1] for c in (cfg, cfg_b or {}))
     if material and domain != "square":
         raise StudyError("material subdomains are defined on the square only")
-    given = {name: conv(cfg[key]) for key, (name, conv) in _STUDY_FIELDS.items()
+    given = {name: _value(cfg, key, conv) for key, (name, conv) in _STUDY_FIELDS.items()
              if key in cfg}
     if nev is not None:
         given["nev"] = nev

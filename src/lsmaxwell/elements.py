@@ -1,43 +1,60 @@
 """Reference-element bases and simplex quadrature.
 
-Lagrange bases of degree 1 and 2, lowest-order edge (Whitney) elements in
-2D and 3D, and conical-product Gauss rules on the reference triangle and
-tetrahedron.  The reference simplices are spanned by the origin and the
-unit coordinate vectors; barycentric coordinates are ordered with the
-origin function first.
+One reference simplex in every dimension: it is spanned by the origin and
+the unit coordinate vectors, and barycentric coordinates are ordered with
+the origin function first.  On it live the Lagrange bases of degree 1 and 2,
+the lowest-order edge (Whitney) functions with their rot (2D) or curl (3D)
+through one Levi-Civita table, and conical-product Gauss rules, each a
+single definition that takes the dimension.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, reduce
 
 import numpy as np
-from scipy.special import roots_jacobi, roots_legendre
+from scipy.special import roots_jacobi
 
-# local edges (i, j) with i < j; ascending order fixes the reference
-# orientation of each edge dof
-REF_EDGES = {
-    2: ((0, 1), (0, 2), (1, 2)),
-    3: ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)),
-}
+# local edges (i, j) with i < j of the reference simplex of each dimension;
+# ascending order fixes the reference orientation of each edge dof
+REF_EDGES = {d: tuple(itertools.combinations(range(d + 1), 2)) for d in (1, 2, 3)}
 
 MAX_QUAD_DEGREE = 6
+
+
+def _levi_civita(dim):
+    eps = np.zeros((dim,) * dim)
+    for p in itertools.permutations(range(dim)):
+        eps[p] = (-1.0) ** sum(a > b for a, b in itertools.combinations(p, 2))
+    eps.flags.writeable = False
+    return eps
+
+
+# Levi-Civita tensors: rot u = LEVI_CIVITA[2][j, c] d_j u_c in 2D and
+# (curl u)_i = LEVI_CIVITA[3][i, j, c] d_j u_c in 3D; LEVI_CIVITA[2] @ grad p
+# is also the 2D vector curl (d_y p, -d_x p) of a scalar
+LEVI_CIVITA = {d: _levi_civita(d) for d in (2, 3)}
 
 
 class ElementError(ValueError):
     """Unsupported degree, dimension or reference point."""
 
 
-def _barycentric(points, dim):
+def _check_dim(dim):
+    if dim not in (2, 3):
+        raise ElementError(f"unsupported dimension {dim}")
+
+
+def _barycentric(points):
     pts = np.atleast_2d(np.asarray(points, dtype=float))
-    lam0 = 1.0 - pts.sum(axis=1)
-    return np.column_stack([lam0, pts]), pts
+    return np.column_stack([1.0 - pts.sum(axis=1), pts])
 
 
 def _bary_grads(dim):
-    g = np.vstack([-np.ones(dim), np.eye(dim)])
-    return g  # (dim+1, dim), gradient of each barycentric function
+    # (dim+1, dim), gradient of each barycentric function
+    return np.vstack([-np.ones(dim), np.eye(dim)])
 
 
 def eval_lagrange(k, dim, points):
@@ -49,62 +66,36 @@ def eval_lagrange(k, dim, points):
     """
     if k not in (1, 2):
         raise ElementError(f"unsupported Lagrange degree {k}")
-    if dim not in (2, 3):
-        raise ElementError(f"unsupported dimension {dim}")
-    lam, pts = _barycentric(points, dim)
+    _check_dim(dim)
+    lam = _barycentric(points)
     g = _bary_grads(dim)
-    npts = len(lam)
-    nv = dim + 1
     if k == 1:
-        vals = lam
-        grads = np.broadcast_to(g, (npts, nv, dim)).copy()
-        return vals, grads
-    edges = REF_EDGES[dim]
-    nd = nv + len(edges)
-    vals = np.empty((npts, nd))
-    grads = np.empty((npts, nd, dim))
-    for i in range(nv):
-        vals[:, i] = lam[:, i] * (2 * lam[:, i] - 1)
-        grads[:, i, :] = (4 * lam[:, i] - 1)[:, None] * g[i]
-    for e, (i, j) in enumerate(edges):
-        vals[:, nv + e] = 4 * lam[:, i] * lam[:, j]
-        grads[:, nv + e, :] = 4 * (lam[:, i][:, None] * g[j] + lam[:, j][:, None] * g[i])
+        return lam, np.broadcast_to(g, (len(lam),) + g.shape).copy()
+    i, j = np.array(REF_EDGES[dim]).T
+    vals = np.hstack([lam * (2 * lam - 1), 4 * lam[:, i] * lam[:, j]])
+    grads = np.hstack([(4 * lam - 1)[:, :, None] * g,
+                       4 * (lam[:, i, None] * g[j] + lam[:, j, None] * g[i])])
     return vals, grads
 
 
-def eval_nedelec2d(points):
-    """Whitney edge functions on the reference triangle.
+def eval_nedelec(dim, points):
+    """Whitney edge functions on the reference simplex.
 
-    Returns (values, rots) with shapes (npts, 3, 2) and (npts, 3); one dof
-    per edge in ``REF_EDGES[2]`` order, oriented by ascending vertex index.
-    The rot of each basis function is constant.
+    Returns (values, curls): values have shape (npts, nedges, dim), one dof
+    per edge in ``REF_EDGES[dim]`` order, oriented by ascending vertex
+    index.  The curl of each basis function is constant: a scalar rot of
+    shape (npts, 3) in 2D, a vector of shape (npts, 6, 3) in 3D.
     """
-    lam, _ = _barycentric(points, 2)
-    g = _bary_grads(2)
-    npts = len(lam)
-    vals = np.empty((npts, 3, 2))
-    rots = np.empty((npts, 3))
-    for e, (i, j) in enumerate(REF_EDGES[2]):
-        vals[:, e, :] = lam[:, i][:, None] * g[j] - lam[:, j][:, None] * g[i]
-        rots[:, e] = 2.0 * (g[i, 0] * g[j, 1] - g[i, 1] * g[j, 0])
-    return vals, rots
-
-
-def eval_nedelec3d(points):
-    """Whitney edge functions on the reference tetrahedron.
-
-    Returns (values, curls) with shapes (npts, 6, 3); curls are constant
-    per basis function.
-    """
-    lam, _ = _barycentric(points, 3)
-    g = _bary_grads(3)
-    npts = len(lam)
-    vals = np.empty((npts, 6, 3))
-    curls = np.empty((npts, 6, 3))
-    for e, (i, j) in enumerate(REF_EDGES[3]):
-        vals[:, e, :] = lam[:, i][:, None] * g[j] - lam[:, j][:, None] * g[i]
-        curls[:, e, :] = 2.0 * np.cross(g[i], g[j])
-    return vals, curls
+    _check_dim(dim)
+    lam = _barycentric(points)
+    g = _bary_grads(dim)
+    i, j = np.array(REF_EDGES[dim]).T
+    # take, where fancy indexing would leave the values in Fortran order
+    li, lj = (lam.take(k, axis=1)[:, :, None] for k in (i, j))
+    vals = li * g[j] - lj * g[i]
+    # curl(l_i grad l_j - l_j grad l_i) = 2 grad l_i x grad l_j
+    curl = 2.0 * np.einsum("...ab,ea,eb->e...", LEVI_CIVITA[dim], g[i], g[j])
+    return vals, np.broadcast_to(curl, (len(lam),) + curl.shape).copy()
 
 
 @dataclass(frozen=True)
@@ -125,11 +116,6 @@ class QuadratureRule:
         return self.points[:, 1:]
 
 
-def _gauss01(m):
-    x, w = roots_legendre(m)
-    return (x + 1.0) / 2.0, w / 2.0
-
-
 def _jacobi01(m, alpha):
     # nodes/weights for int_0^1 (1-u)^alpha g(u) du
     x, w = roots_jacobi(m, alpha, 0.0)
@@ -138,32 +124,18 @@ def _jacobi01(m, alpha):
 
 @lru_cache(maxsize=None)
 def quadrature(dim, degree):
-    """Conical-product Gauss rule exact for total degree <= ``degree``."""
-    if dim not in (2, 3):
-        raise ElementError(f"unsupported dimension {dim}")
+    """Conical-product Gauss rule exact for total degree <= ``degree``.
+
+    Coordinate k is ``u_k (1 - u_{k+1}) ... (1 - u_{dim-1})`` with ``u_k``
+    on the m-point Gauss-Jacobi rule of weight (1 - u)^k; the points run
+    over the tensor grid of the u_k in C order.
+    """
+    _check_dim(dim)
     if not (1 <= degree <= MAX_QUAD_DEGREE):
         raise ElementError(f"unsupported quadrature degree {degree}")
     m = (degree + 2) // 2
-    if dim == 2:
-        xi, wxi = _gauss01(m)
-        eta, weta = _jacobi01(m, 1.0)
-        x = np.outer(xi, 1.0 - eta).ravel()
-        y = np.tile(eta, m)
-        w = np.outer(wxi, weta).ravel()
-        pts = np.column_stack([x, y])
-    else:
-        xi, wxi = _gauss01(m)
-        eta, weta = _jacobi01(m, 1.0)
-        zeta, wzeta = _jacobi01(m, 2.0)
-        pts = []
-        w = []
-        for a, wa in zip(xi, wxi):
-            for b, wb in zip(eta, weta):
-                for c, wc in zip(zeta, wzeta):
-                    pts.append((a * (1 - b) * (1 - c), b * (1 - c), c))
-                    w.append(wa * wb * wc)
-        pts = np.array(pts)
-        w = np.array(w)
-    lam0 = 1.0 - pts.sum(axis=1)
-    bary = np.column_stack([lam0, pts])
-    return QuadratureRule(dim, degree, bary, w)
+    nodes, weights = zip(*(_jacobi01(m, float(k)) for k in range(dim)))
+    u = np.meshgrid(*nodes, indexing="ij")
+    x = [reduce(lambda xk, ul: xk * (1 - ul), u[k + 1:], u[k]).ravel() for k in range(dim)]
+    w = reduce(np.multiply, np.meshgrid(*weights, indexing="ij")).ravel()
+    return QuadratureRule(dim, degree, _barycentric(np.column_stack(x)), w)

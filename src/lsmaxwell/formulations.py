@@ -30,9 +30,11 @@ class FormulationSpec:
     ``elements_q`` is nodal in 2D and 'ned0' for the 3D three-field system.
     ``gauge`` selects the mean-value multiplier ('multiplier') or drops the
     constraint ('none').  The 3D least-squares kinds and the reference kinds
-    fix some fields (:data:`_KINDS`); a spec for one of them leaves such a
-    field at its default (for ``coeff``: all values 1) or gives it the fixed
-    value, else it is rejected, and the spec then holds the fixed value.
+    fix some fields (:data:`_KINDS`), and ``bc='mixed_slit'``, whose slit
+    condition on p replaces the mean condition, fixes ``gauge='none'``; a
+    spec leaves such a field at its default (for ``coeff``: all values 1)
+    or gives it the fixed value, else it is rejected, and the spec then
+    holds the fixed value.
     """
 
     kind: str = "ls2d"
@@ -45,15 +47,19 @@ class FormulationSpec:
     def __post_init__(self):
         if self.kind not in _KINDS:
             raise AssemblyError(f"unknown formulation kind {self.kind!r}")
-        for name, want in _KINDS[self.kind][1].items():
-            got = getattr(self, name)
-            if name == "coeff":
-                ok = set(got.eps.values()) | set(got.mu.values()) == {1.0}
-            else:
-                ok = got in (want, _SPEC_DEFAULTS[name])
-            if not ok:
-                raise AssemblyError(f"{self.kind} fixes {name} = {want!r}, got {got!r}")
-            object.__setattr__(self, name, want)
+        rules = [(self.kind, _KINDS[self.kind][1])]
+        if self.bc == "mixed_slit":
+            rules.append(("bc = 'mixed_slit'", {"gauge": "none"}))
+        for who, fixed in rules:
+            for name, want in fixed.items():
+                got = getattr(self, name)
+                if name == "coeff":
+                    ok = set(got.eps.values()) | set(got.mu.values()) == {1.0}
+                else:
+                    ok = got in (want, _SPEC_DEFAULTS[name])
+                if not ok:
+                    raise AssemblyError(f"{who} fixes {name} = {want!r}, got {got!r}")
+                object.__setattr__(self, name, want)
         if self.kind == "ls2d" and self.elements_q not in ("p1", "p2"):
             raise AssemblyError(f"ls2d takes elements_q = 'p1' or 'p2', "
                                 f"got {self.elements_q!r}")
@@ -127,7 +133,6 @@ def _ls_pencil(mesh, spec):
     v_tags, q_constraint = _all_tags(mesh), None
     if bc == "mixed_slit":
         v_tags, q_constraint = (meshmod.EXTERIOR,), ("scalar_zero", _slit_tags(mesh))
-        gauge = "none"
     with _per_build(mesh):
         V = build_space(mesh, v_family, ("tangential_zero", v_tags))
         Q = build_space(mesh, q_family, q_constraint)

@@ -14,6 +14,8 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
+from .elements import REF_EDGES
+
 EXTERIOR = "exterior"
 SLIT_TOP = "slit_top"
 SLIT_BOTTOM = "slit_bottom"
@@ -114,13 +116,15 @@ def _unique_rows(rows, return_inverse=False, return_counts=False):
     return out if len(out) > 1 else out[0]
 
 
-def unique_edges(cells):
+def unique_edges(cells, return_inverse=False):
     """All distinct vertex pairs appearing in a cell, as sorted rows in
-    lexicographic order."""
-    nl = cells.shape[1]
-    pairs = [np.sort(cells[:, [i, j]], axis=1)
-             for i in range(nl) for j in range(i + 1, nl)]
-    return _unique_rows(np.vstack(pairs))
+    lexicographic order; with ``return_inverse`` also the (nc, edges per
+    cell) index of each cell's edges, in ``REF_EDGES`` order, into them."""
+    pairs = np.sort(cells[:, REF_EDGES[cells.shape[1] - 1]], axis=2)
+    out = _unique_rows(pairs.reshape(-1, 2), return_inverse=return_inverse)
+    if not return_inverse:
+        return out
+    return out[0], out[1].reshape(pairs.shape[:2])
 
 
 def _orient_positive(vertices, cells, dim):
@@ -132,7 +136,7 @@ def _orient_positive(vertices, cells, dim):
     return cells
 
 
-def _facets_of_cells(cells, dim):
+def _facets_of_cells(cells):
     """(facet, cell) incidence: each row a sorted facet vertex tuple."""
     nc, nl = cells.shape
     idx = [[j for j in range(nl) if j != i] for i in range(nl)]
@@ -141,9 +145,9 @@ def _facets_of_cells(cells, dim):
     return facets
 
 
-def boundary_facets_of(cells, dim):
+def boundary_facets_of(cells):
     """Facets adjacent to exactly one cell, lexicographically sorted."""
-    facets = _facets_of_cells(cells, dim)
+    facets = _facets_of_cells(cells)
     uniq, counts = _unique_rows(facets, return_counts=True)
     if counts.max() > 2:
         raise MeshError("non-manifold facet encountered")
@@ -155,7 +159,7 @@ def validate(mesh):
     vol = mesh.signed_volumes()
     if not (vol > 0).all():
         raise MeshError("mesh has non-positively oriented cells")
-    bd = boundary_facets_of(mesh.cells, mesh.dim)
+    bd = boundary_facets_of(mesh.cells)
     got = _unique_rows(mesh.boundary_facets)
     if bd.shape != got.shape or not (bd == got).all():
         raise MeshError("boundary facet set does not match cell adjacency")
@@ -217,7 +221,7 @@ def _grid_mesh(axes, keep, split, centres=None):
     verts = np.column_stack(coords[::-1] if dim == 2 else coords)
     cells = np.stack(corners, axis=1)[:, _SPLITS[dim][split]].reshape(-1, dim + 1)
     cells = _orient_positive(verts, cells, dim)
-    bf = boundary_facets_of(cells, dim)
+    bf = boundary_facets_of(cells)
     tags = np.array([EXTERIOR] * len(bf), dtype=object)
     return validate(Mesh(dim, verts, cells, bf, tags))
 
@@ -283,7 +287,7 @@ def build_slit(n, diagonal="right"):
     above = base.barycenters()[:, 1] > 1.0
     cells = np.where(above[:, None], relabel[base.cells], base.cells)
     verts = np.vstack([verts, verts[bottom]])
-    bf = boundary_facets_of(cells, 2)
+    bf = boundary_facets_of(cells)
     tags = np.array([EXTERIOR] * len(bf), dtype=object)
     tags[np.isin(bf, np.append(top, tip)).all(axis=1)] = SLIT_TOP
     tags[np.isin(bf, np.append(bottom, tip)).all(axis=1)] = SLIT_BOTTOM

@@ -282,7 +282,7 @@ def test_c10_oracle_equivalence():
 def test_c11_property_suites():
     # basis duality and partition of unity live in the element test module;
     # re-assert the headline tolerances here on fresh points
-    from lsmaxwell.elements import eval_lagrange, eval_nedelec2d, quadrature
+    from lsmaxwell.elements import eval_lagrange, quadrature
     rng = np.random.default_rng(42)
     pts = []
     while len(pts) < 100:

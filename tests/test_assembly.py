@@ -19,7 +19,7 @@ from lsmaxwell.mesh import (Mesh, boundary_facets_of, build_lshape, build_slit,
 def single_triangle_mesh(verts):
     verts = np.asarray(verts, dtype=float)
     cells = np.array([[0, 1, 2]], dtype=np.int64)
-    bf = boundary_facets_of(cells, 2)
+    bf = boundary_facets_of(cells)
     return Mesh(2, verts, cells, bf, np.array(["exterior"] * 3, dtype=object))
 
 
@@ -244,12 +244,8 @@ def _physical(space, name, cell, pts):
     detJ = np.linalg.det(J)
     Jinv = np.linalg.inv(J)
     if space.kind == "edge":
-        if dim == 2:
-            vals, rots = elements.eval_nedelec2d(pts)
-            curls = (rots / detJ)[:, :, None]
-        else:
-            vals, curls = elements.eval_nedelec3d(pts)
-            curls = curls @ J.T / detJ
+        vals, curls = elements.eval_nedelec(dim, pts)
+        curls = (curls / detJ)[:, :, None] if dim == 2 else curls @ J.T / detJ
         out = {"val": vals @ Jinv, "curl": curls}
     else:
         vals, grads = elements.eval_lagrange(space.degree, dim, pts)

@@ -319,3 +319,26 @@ class TestConfigParser:
         assert rc == 2
         assert "'elements_w'" in capsys.readouterr().err
         assert not (tmp_path / "s.csv").exists()
+
+    def test_key_given_twice(self, tmp_path, capsys):
+        # the last value used to win without a word
+        cfg = write(tmp_path, "twice.cfg", "domain = square\nn = 4\nnev = 3\nnev = 5\n")
+        with pytest.raises(StudyError, match="'nev' given twice .* lines 3 and 4"):
+            parse_config(cfg)
+        out = tmp_path / "s.csv"
+        assert main(["solve", "--config", cfg, "--out", str(out)]) == 2
+        assert "'nev'" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("text, key", [
+        ("n = 4\nnev\n", "nev"), ("n = 4\nnev = three\n", "nev"),
+        ("n = 4\nside = wide\n", "side"), ("n = 4\neps_inside = big\n", "eps_inside"),
+        ("n = 4\nseed = 1.5\n", "seed"), ("n_list = 2 x\n", "n_list"),
+        ("n = four\n", "n")])
+    def test_bad_value_names_its_key(self, tmp_path, capsys, text, key):
+        # a bare 'nev' used to exit with only "invalid literal for int()"
+        cfg = write(tmp_path, "bad.cfg", "domain = square\n" + text)
+        out = tmp_path / "s.csv"
+        assert main(["solve", "--config", cfg, "--out", str(out)]) == 2
+        assert f"config key {key!r}: " in capsys.readouterr().err
+        assert not out.exists()

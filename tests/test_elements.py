@@ -4,8 +4,8 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from lsmaxwell.elements import (ElementError, REF_EDGES, eval_lagrange,
-                                eval_nedelec2d, eval_nedelec3d, quadrature)
+from lsmaxwell.elements import (LEVI_CIVITA, REF_EDGES, ElementError, eval_lagrange,
+                                eval_nedelec, quadrature)
 
 
 def random_reference_points(dim, n, seed=0):
@@ -54,73 +54,74 @@ class TestLagrange:
             eval_lagrange(3, 2, [[0.2, 0.2]])
 
 
-class TestNedelec2d:
-    def test_tangential_moment_duality(self):
-        verts = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
+# symbolic-differentiation oracle values of the constant rot (2D) and curl
+# (3D) of each Whitney function on the reference simplex
+ORACLE_CURLS = {
+    2: [2.0, -2.0, 2.0],
+    3: [[0, -2, 2], [2, 0, -2], [-2, 2, 0], [0, 0, 2], [0, -2, 0], [2, 0, 0]],
+}
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+class TestNedelec:
+    def test_tangential_moment_duality(self, dim):
+        verts = np.vstack([np.zeros(dim), np.eye(dim)])
         xg, wg = np.polynomial.legendre.leggauss(4)
         xg = (xg + 1) / 2
         wg = wg / 2
-        moments = np.zeros((3, 3))
-        for e, (i, j) in enumerate(REF_EDGES[2]):
+        ne = len(REF_EDGES[dim])
+        moments = np.zeros((ne, ne))
+        for e, (i, j) in enumerate(REF_EDGES[dim]):
             a, b = verts[i], verts[j]
             t = b - a
             pts = a[None, :] + np.outer(xg, t)
-            vals, _ = eval_nedelec2d(pts)
+            vals, _ = eval_nedelec(dim, pts)
             moments[e] = np.einsum("q,qnd,d->n", wg, vals, t)
-        assert np.abs(moments - np.eye(3)).max() < 1e-13
+        assert np.abs(moments - np.eye(ne)).max() < 1e-13
 
-    def test_rot_values(self):
-        # symbolic-differentiation oracle values for the reference triangle
-        _, rots = eval_nedelec2d([[0.25, 0.25]])
-        assert np.allclose(rots[0], [2.0, -2.0, 2.0], atol=1e-15)
+    def test_curl_values(self, dim):
+        # constant per function: any interior point will do
+        _, curls = eval_nedelec(dim, [np.full(dim, 0.2)])
+        assert np.allclose(curls[0], ORACLE_CURLS[dim], atol=1e-15)
 
-    def test_constant_reproduction(self):
-        verts = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
-        c = np.array([0.3, -0.7])
-        coeffs = np.array([c @ (verts[j] - verts[i]) for (i, j) in REF_EDGES[2]])
-        pts = random_reference_points(2, 20)
-        vals, _ = eval_nedelec2d(pts)
+    def test_constant_reproduction(self, dim):
+        verts = np.vstack([np.zeros(dim), np.eye(dim)])
+        c = np.array([0.3, -0.7, 1.1][:dim])
+        coeffs = np.array([c @ (verts[j] - verts[i]) for (i, j) in REF_EDGES[dim]])
+        pts = random_reference_points(dim, 20)
+        vals, _ = eval_nedelec(dim, pts)
         field = np.einsum("n,qnd->qd", coeffs, vals)
         assert np.abs(field - c).max() < 1e-14
 
-
-class TestNedelec3d:
-    def test_tangential_moment_duality(self):
-        verts = np.vstack([np.zeros(3), np.eye(3)])
-        xg, wg = np.polynomial.legendre.leggauss(4)
-        xg = (xg + 1) / 2
-        wg = wg / 2
-        moments = np.zeros((6, 6))
-        for e, (i, j) in enumerate(REF_EDGES[3]):
-            a, b = verts[i], verts[j]
-            t = b - a
-            pts = a[None, :] + np.outer(xg, t)
-            vals, _ = eval_nedelec3d(pts)
-            moments[e] = np.einsum("q,qnd,d->n", wg, vals, t)
-        assert np.abs(moments - np.eye(6)).max() < 1e-13
-
-    def test_curl_values(self):
-        # symbolic-differentiation oracle values for the reference tet
-        _, curls = eval_nedelec3d([[0.2, 0.2, 0.2]])
-        expect = np.array([
-            [0, -2, 2], [2, 0, -2], [-2, 2, 0],
-            [0, 0, 2], [0, -2, 0], [2, 0, 0]], dtype=float)
-        assert np.allclose(curls[0], expect, atol=1e-15)
-
-    def test_p1_gradients_in_span(self):
+    def test_p1_gradients_in_span(self, dim):
         # grad of each barycentric hat is a curl-free member of the span
-        verts = np.vstack([np.zeros(3), np.eye(3)])
-        grads = np.vstack([-np.ones(3), np.eye(3)])
-        pts = random_reference_points(3, 10)
-        vals, curls = eval_nedelec3d(pts)
-        for v in range(4):
-            coeffs = np.zeros(6)
-            for e, (i, j) in enumerate(REF_EDGES[3]):
-                coeffs[e] = (1.0 if j == v else 0.0) - (1.0 if i == v else 0.0)
+        grads = np.vstack([-np.ones(dim), np.eye(dim)])
+        pts = random_reference_points(dim, 10)
+        vals, curls = eval_nedelec(dim, pts)
+        for v in range(dim + 1):
+            coeffs = np.array([(1.0 if j == v else 0.0) - (1.0 if i == v else 0.0)
+                               for (i, j) in REF_EDGES[dim]])
             field = np.einsum("n,qnd->qd", coeffs, vals)
-            curl = np.einsum("n,qnd->qd", coeffs, curls)
+            curl = np.tensordot(coeffs, curls, axes=(0, 1))
             assert np.abs(field - grads[v]).max() < 1e-14
             assert np.abs(curl).max() < 1e-14
+
+
+def test_reference_tables():
+    # the tables written out by hand
+    assert REF_EDGES == {1: ((0, 1),), 2: ((0, 1), (0, 2), (1, 2)),
+                         3: ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3))}
+    eps3 = np.zeros((3, 3, 3))
+    eps3[0, 1, 2] = eps3[1, 2, 0] = eps3[2, 0, 1] = 1.0
+    eps3[0, 2, 1] = eps3[2, 1, 0] = eps3[1, 0, 2] = -1.0
+    assert np.array_equal(LEVI_CIVITA[2], [[0.0, 1.0], [-1.0, 0.0]])
+    assert np.array_equal(LEVI_CIVITA[3], eps3)
+
+
+@pytest.mark.parametrize("dim", [1, 4])
+def test_nedelec_unsupported_dimension(dim):
+    with pytest.raises(ElementError):
+        eval_nedelec(dim, np.zeros((1, dim)))
 
 
 def tangential_jump_2d(mesh_verts, cells, edge):
@@ -129,7 +130,7 @@ def tangential_jump_2d(mesh_verts, cells, edge):
     from lsmaxwell.assembly import build_space
     from lsmaxwell.mesh import Mesh, boundary_facets_of
     cells = np.asarray(cells, dtype=np.int64)
-    bf = boundary_facets_of(cells, 2)
+    bf = boundary_facets_of(cells)
     tags = np.array(["exterior"] * len(bf), dtype=object)
     mesh = Mesh(2, np.asarray(mesh_verts, float), cells, bf, tags)
     space = build_space(mesh, "ned0")
@@ -144,7 +145,7 @@ def tangential_jump_2d(mesh_verts, cells, edge):
         JinvT = np.linalg.inv(J).T
         pts_phys = a[None, :] + np.outer(np.linspace(0.1, 0.9, 7), (b - a))
         pts_ref = np.linalg.solve(J, (pts_phys - p0).T).T
-        vals, _ = eval_nedelec2d(pts_ref)
+        vals, _ = eval_nedelec(2, pts_ref)
         loc = int(np.flatnonzero(space.cell_dofs[c] == eidx)[0])
         sign = space.cell_signs[c, loc]
         phys = sign * vals[:, loc, :] @ JinvT.T
@@ -168,7 +169,7 @@ class TestMappingConsistency:
         for c in range(2):
             if signed_volumes(verts, cells[c:c + 1], 3)[0] < 0:
                 cells[c, [2, 3]] = cells[c, [3, 2]]
-        bf = boundary_facets_of(cells, 3)
+        bf = boundary_facets_of(cells)
         mesh = Mesh(3, verts, cells, bf, np.array(["exterior"] * len(bf), dtype=object))
         space = build_space(mesh, "ned0")
         # shared facet (1,2,3): compare tangential components at interior points
@@ -184,7 +185,7 @@ class TestMappingConsistency:
                 p0 = verts[cells[c, 0]]
                 J = np.column_stack([verts[cells[c, k]] - p0 for k in (1, 2, 3)])
                 ref = np.linalg.solve(J, (pts_phys - p0).T).T
-                vals, _ = eval_nedelec3d(ref)
+                vals, _ = eval_nedelec(3, ref)
                 where = np.flatnonzero(space.cell_dofs[c] == eidx)
                 if len(where) == 0:
                     comp.append(None)

@@ -132,32 +132,39 @@ class TestLs3d:
         dict(kind="curlcurl_edge", bc="mixed_slit"),
         dict(kind="curlcurl_edge", elements_v="p1"),
         dict(kind="curlcurl_edge", elements_q="p2"),
+        dict(kind="ls2d", bc="mixed_slit", gauge="bogus"),
     ])
     def test_fixed_fields_reject_other_values(self, kw):
         with pytest.raises(AssemblyError, match="fixes"):
             FormulationSpec(**kw)
 
-    # kind -> (mesh, the values of the fields it fixes)
+    # case -> (mesh, the spec's given fields, the values of the fields they fix)
     FIXED = {
-        "ls2d": (lambda: build_structured_square(3), {}),
-        "ls3d_threefield": (lambda: build_structured_cube(2), dict(
-            elements_v="ned0", elements_q="ned0", gauge="multiplier", bc="standard")),
-        "ls3d_twofield_nodal": (lambda: build_structured_cube(2), dict(
-            elements_v="p1", elements_q="p1", gauge="none", bc="standard")),
+        "ls2d": (lambda: build_structured_square(3), dict(kind="ls2d"), {}),
+        "ls3d_threefield": (lambda: build_structured_cube(2), dict(kind="ls3d_threefield"),
+                            dict(elements_v="ned0", elements_q="ned0", gauge="multiplier",
+                                 bc="standard")),
+        "ls3d_twofield_nodal": (lambda: build_structured_cube(2),
+                                dict(kind="ls3d_twofield_nodal"),
+                                dict(elements_v="p1", elements_q="p1", gauge="none",
+                                     bc="standard")),
         # the CLI passes unit coefficients for cell tags 0 and 1
-        "galerkin_laplace": (lambda: build_slit(2), dict(
+        "galerkin_laplace": (lambda: build_slit(2), dict(kind="galerkin_laplace"), dict(
             elements_v="p1", elements_q="p1", gauge="none",
             coeff=CoefficientField(eps={0: 1.0, 1: 1.0}, mu={0: 1.0, 1: 1.0}))),
-        "curlcurl_edge": (lambda: build_structured_square(3), dict(
-            elements_v="ned0", elements_q="p1", gauge="none", bc="standard")),
+        "curlcurl_edge": (lambda: build_structured_square(3), dict(kind="curlcurl_edge"),
+                          dict(elements_v="ned0", elements_q="p1", gauge="none",
+                               bc="standard")),
+        # the slit condition on p replaces the mean condition
+        "ls2d_mixed_slit": (lambda: build_slit(2), dict(bc="mixed_slit"), dict(gauge="none")),
     }
 
-    @pytest.mark.parametrize("kind", list(FIXED))
-    def test_fixed_fields_accept_the_defaults(self, kind):
+    @pytest.mark.parametrize("case", list(FIXED))
+    def test_fixed_fields_accept_the_defaults(self, case):
         # the spec holds the fixed values, so a defaulted spec is the
         # explicit one and builds the same pencil, bit for bit
-        make_mesh, fixed = self.FIXED[kind]
-        plain, explicit = FormulationSpec(kind=kind), FormulationSpec(kind=kind, **fixed)
+        make_mesh, given, fixed = self.FIXED[case]
+        plain, explicit = FormulationSpec(**given), FormulationSpec(**given, **fixed)
         assert plain == explicit
         m = make_mesh()
         a, b = build_pencil(m, plain), build_pencil(m, explicit)
@@ -216,7 +223,7 @@ class TestGalerkin:
     def test_single_triangle_zero_mode(self):
         verts = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
         cells = np.array([[0, 1, 2]], dtype=np.int64)
-        bf = boundary_facets_of(cells, 2)
+        bf = boundary_facets_of(cells)
         m = Mesh(2, verts, cells, bf, np.array(["exterior"] * 3, dtype=object))
         pen = galerkin_laplace(m)
         lam = scipy.linalg.eigh(pen.K.toarray(), pen.M.toarray(),

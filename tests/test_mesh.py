@@ -25,7 +25,7 @@ def fields_equal(a, b):
 
 
 def interior_facet_counts(mesh):
-    facets = meshmod._facets_of_cells(mesh.cells, mesh.dim)
+    facets = meshmod._facets_of_cells(mesh.cells)
     _, counts = np.unique(facets, axis=0, return_counts=True)
     return counts
 
@@ -224,7 +224,7 @@ def loop_quad_triangles(v00, v10, v01, v11, diagonal):
 
 def loop_tagged_mesh(verts, cells, **kw):
     cells = meshmod._orient_positive(verts, np.array(cells, dtype=np.int64), 2)
-    bf = boundary_facets_of(cells, 2)
+    bf = boundary_facets_of(cells)
     return validate(Mesh(2, verts, cells, bf,
                          np.array([EXTERIOR] * len(bf), dtype=object), **kw))
 
@@ -350,6 +350,23 @@ class TestArrayConstruction:
                              loop_square(n, side, diagonal))
             fields_equal(build_lshape(n, diagonal), loop_lshape(n, diagonal))
             fields_equal(build_slit(n, diagonal), loop_slit(n, diagonal))
+
+    def test_unique_edges_matches_loop(self):
+        # every vertex pair of a cell, i < j in cell order; the edge set
+        # sorted, and each cell's pairs looked up in it one by one
+        for mesh in (build_structured_square(3, diagonal="crisscross"), build_lshape(2),
+                     build_slit(2, "left"), build_structured_cube(2)):
+            nl = mesh.cells.shape[1]
+            local = [(i, j) for i in range(nl) for j in range(i + 1, nl)]
+            pairs = [tuple(sorted(int(v) for v in c[[i, j]])) for c in mesh.cells
+                     for i, j in local]
+            want = sorted(set(pairs))
+            index = {e: k for k, e in enumerate(want)}
+            edges, cell_edges = unique_edges(mesh.cells, return_inverse=True)
+            assert np.array_equal(unique_edges(mesh.cells), want)
+            assert np.array_equal(edges, want)
+            assert np.array_equal(cell_edges.ravel(), [index[e] for e in pairs])
+            assert cell_edges.shape == (mesh.num_cells, len(local))
 
     def test_unique_rows_matches_numpy(self):
         rng = np.random.default_rng(0)
